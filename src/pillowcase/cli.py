@@ -55,10 +55,6 @@ def _usage_error(message: str) -> int:
 def cmd_sublattices(args) -> int:
     if args.degree < 1:
         return _usage_error(f"--degree must be a positive integer, got {args.degree}")
-    if args.degree > args.degree_cap:
-        return _usage_error(
-            f"--degree {args.degree} exceeds the cap {args.degree_cap}; raise --degree-cap"
-        )
     lats = lattice.enumerate_sublattices(args.degree)
     s1 = lattice.sigma1(args.degree)
     if args.format == "json":
@@ -207,16 +203,32 @@ def _verify_checks(suite: str, dmax: int):
 def cmd_verify(args) -> int:
     if args.max_degree < 1:
         return _usage_error(f"--max-degree must be >= 1, got {args.max_degree}")
-    failed = False
+    results = []
     for label, run in _verify_checks(args.suite, args.max_degree):
         result = run()
-        if result.ok:
-            print(f"{_color('PASS', '32')} {label}")
-        else:
-            failed = True
-            print(f"{_color('FAIL', '31')} {label}")
-            print(_dump(result.counterexample))
-    return 1 if failed else 0
+        results.append((label, result))
+        if args.format == "pretty":
+            if result.ok:
+                print(f"{_color('PASS', '32')} {label}")
+            else:
+                print(f"{_color('FAIL', '31')} {label}")
+                print(_dump(result.counterexample))
+    if args.format == "json":
+        records = [
+            {
+                "suite": result.name,
+                "label": label,
+                "ok": result.ok,
+                "details": result.details,
+                "counterexample": result.counterexample,
+            }
+            for label, result in results
+        ]
+        print(_dump(records))
+    elif args.format == "csv":
+        for label, result in results:
+            print(f"{label},{'PASS' if result.ok else 'FAIL'}")
+    return 0 if all(result.ok for _, result in results) else 1
 
 
 # ---------------------------------------------------------------------------
@@ -234,26 +246,32 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_format(p):
         p.add_argument("--format", choices=("json", "csv", "pretty"), default="pretty")
 
+    def add_degree(p, flag, **kwargs):
+        # The degree option and the cap that main() holds it to, so a typo
+        # cannot start an enormous enumeration by accident.
+        option = p.add_argument(flag, type=int, **kwargs)
+        p.add_argument("--degree-cap", type=int, default=DEFAULT_DEGREE_CAP)
+        p.set_defaults(degree_option=option)
+
     p = sub.add_parser("sublattices", help="list the index-d sublattices")
-    p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--degree-cap", type=int, default=DEFAULT_DEGREE_CAP)
+    add_degree(p, "--degree", required=True)
     add_format(p)
     p.set_defaults(run=cmd_sublattices)
 
     p = sub.add_parser("series", help="print one of the named q-series")
     p.add_argument("--which", choices=tuple(SERIES_BUILDERS), required=True)
-    p.add_argument("--max-degree", type=int, default=DEFAULT_TRUNC)
+    add_degree(p, "--max-degree", default=DEFAULT_TRUNC)
     add_format(p)
     p.set_defaults(run=cmd_series)
 
     p = sub.add_parser("correlators", help="four-point counts for one insertion tuple")
     p.add_argument("--insertions", required=True, metavar="I,J,K,L")
-    p.add_argument("--max-degree", type=int, default=DEFAULT_TRUNC)
+    add_degree(p, "--max-degree", default=DEFAULT_TRUNC)
     add_format(p)
     p.set_defaults(run=cmd_correlators)
 
     p = sub.add_parser("potential", help="assemble the potential from the counts")
-    p.add_argument("--max-degree", type=int, default=DEFAULT_TRUNC)
+    add_degree(p, "--max-degree", default=DEFAULT_TRUNC)
     p.add_argument(
         "--compare-st",
         action="store_true",
@@ -264,7 +282,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the brute-force cross-checks")
     p.add_argument("--suite", choices=VERIFY_SUITES, default="all")
-    p.add_argument("--max-degree", type=int, default=DEFAULT_TRUNC)
+    add_degree(p, "--max-degree", default=DEFAULT_TRUNC)
     add_format(p)
     p.set_defaults(run=cmd_verify)
 
@@ -277,6 +295,12 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    option = args.degree_option
+    degree = getattr(args, option.dest)
+    if degree > args.degree_cap:
+        return _usage_error(
+            f"{option.option_strings[0]} {degree} exceeds the cap {args.degree_cap}; raise --degree-cap"
+        )
     return args.run(args)
 
 

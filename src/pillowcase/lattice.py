@@ -48,8 +48,14 @@ class HnfLattice:
 
     @classmethod
     def from_json(cls, obj: dict) -> "HnfLattice":
-        lat = cls(int(obj["h"]), int(obj["m"]), int(obj["g"]))
-        if "d" in obj and int(obj["d"]) != lat.d:
+        # Fields must be plain ints: a float, a string or a bool is refused
+        # rather than coerced.
+        keys = ("h", "m", "g", "d") if "d" in obj else ("h", "m", "g")
+        for key in keys:
+            if type(obj.get(key)) is not int:
+                raise ValueError(f"field {key!r} must be an integer, got {obj.get(key)!r}")
+        lat = cls(obj["h"], obj["m"], obj["g"])
+        if "d" in obj and obj["d"] != lat.d:
             raise ValueError(f"inconsistent index: d={obj['d']} but h*g={lat.d}")
         return lat
 

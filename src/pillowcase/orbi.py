@@ -15,8 +15,10 @@ the remaining three, so every sublattice carries exactly six covers.
 
 from __future__ import annotations
 
+from collections import Counter
 from enum import IntEnum
 from fractions import Fraction
+from functools import cache
 from itertools import permutations
 
 from .lattice import HnfLattice, enumerate_sublattices
@@ -111,12 +113,28 @@ def _x1_first(ins: InsertionTuple) -> InsertionTuple:
     return ins
 
 
+def _image_census(d: int) -> tuple[tuple[tuple[OrbiPoint, OrbiPoint, OrbiPoint], int], ...]:
+    # Every count at degree d reads this one census: the number of index-d
+    # sublattices per image triple (at most eight, one per parity class).
+    # It holds lattice counts only; the callers apply the marking
+    # permutations on every call.  The memo is keyed by the enumerator and
+    # the classifier in use as well as the degree, so a patched or wrapped
+    # one (fault injection, tracing) never reads counts another one built.
+    return _census(d, enumerate_sublattices, classify_images)
+
+
+@cache
+def _census(d, enumerate_fn, classify_fn):
+    return tuple(Counter(classify_fn(lat) for lat in enumerate_fn(d)).items())
+
+
 def correlator(ins, d: int) -> int:
     """Number of degree-d covers whose four corners land on ``ins`` in order.
 
     Covers are pairs (sublattice, reordering of the three free corners); the
     pair matches when the reordered images of X2, X3, X4 agree with the last
-    three insertions position by position.
+    three insertions position by position.  Sublattices with the same image
+    triple match together, so the count is read off the degree's census.
 
     >>> correlator((1, 2, 3, 4), 3)
     4
@@ -125,13 +143,12 @@ def correlator(ins, d: int) -> int:
         raise ValueError(f"need d >= 1, got {d}")
     ins = _x1_first(_as_points(ins))
     target = ins[1:]
-    count = 0
-    for lat in enumerate_sublattices(d):
-        img = classify_images(lat)
-        for tau in MARKING_PERMUTATIONS:
-            if (img[tau[0] - 2], img[tau[1] - 2], img[tau[2] - 2]) == target:
-                count += 1
-    return count
+    return sum(
+        lattices
+        for img, lattices in _image_census(d)
+        for tau in MARKING_PERMUTATIONS
+        if (img[tau[0] - 2], img[tau[1] - 2], img[tau[2] - 2]) == target
+    )
 
 
 def correlator_series(ins, trunc: int) -> QSeries:
@@ -155,5 +172,8 @@ def total_count_series(trunc: int) -> QSeries:
     six = len(MARKING_PERMUTATIONS)
     return QSeries(
         (Fraction(0),)
-        + tuple(Fraction(six * len(enumerate_sublattices(d))) for d in range(1, trunc + 1))
+        + tuple(
+            Fraction(six * sum(lattices for _, lattices in _image_census(d)))
+            for d in range(1, trunc + 1)
+        )
     )

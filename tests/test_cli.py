@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from pillowcase import cli, potential, qseries
+from pillowcase import cli, orbi, potential, qseries
 from pillowcase.lattice import HnfLattice, enumerate_sublattices
 from pillowcase.orbi import correlator_series
 
@@ -171,9 +171,75 @@ def test_verify_all_lists_every_suite(capsys):
     assert len(out.splitlines()) == 5
 
 
+def test_verify_json_keeps_every_suite_record(capsys):
+    code, out, _ = _run(capsys, ["verify", "--suite", "all", "--max-degree", "6", "--format", "json"])
+    assert code == 0
+    records = json.loads(out)
+    assert [r["suite"] for r in records] == ["oracle", "parity", "rh", "lumpsum", "closedform"]
+    assert all(set(r) == {"suite", "label", "ok", "details", "counterexample"} for r in records)
+    assert all(r["ok"] and r["counterexample"] is None for r in records)
+    assert records[1] == {
+        "suite": "parity",
+        "label": "parity (d <= 6)",
+        "ok": True,
+        "details": {"lattices": 33},
+        "counterexample": None,
+    }
+    assert records[4]["details"] == {"classes_checked": 35 * 6}
+
+
+def test_verify_json_reports_counterexample(capsys, monkeypatch):
+    kept = tuple(t for t in orbi.MARKING_PERMUTATIONS if t != (2, 4, 3))
+    monkeypatch.setattr(orbi, "MARKING_PERMUTATIONS", kept)
+    code, out, _ = _run(
+        capsys, ["verify", "--suite", "closedform", "--max-degree", "4", "--format", "json"]
+    )
+    assert code == 1
+    (record,) = json.loads(out)
+    assert record["suite"] == "closedform" and record["ok"] is False
+    assert record["counterexample"]["d"] == 2
+
+
+def test_verify_csv_one_line_per_suite(capsys):
+    code, out, _ = _run(capsys, ["verify", "--suite", "all", "--max-degree", "6", "--format", "csv"])
+    assert code == 0
+    assert out == (
+        "oracle (d <= 6),PASS\n"
+        "parity (d <= 6),PASS\n"
+        "rh (d <= 6),PASS\n"
+        "lumpsum (d <= 6),PASS\n"
+        "closedform (d <= 6),PASS\n"
+    )
+
+
 def test_verify_usage_errors(capsys):
     assert _run(capsys, ["verify", "--suite", "bogus"])[0] == 2
     assert _run(capsys, ["verify", "--suite", "all", "--max-degree", "0"])[0] == 2
+
+
+# ---------------------------------------------------------------------------
+# degree cap
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["series", "--which", "f"],
+        ["correlators", "--insertions", "1,2,3,4"],
+        ["potential"],
+        ["verify", "--suite", "lumpsum"],
+    ],
+)
+def test_every_degree_is_capped(capsys, argv):
+    code, out, err = _run(capsys, argv + ["--max-degree", "100000"])
+    assert code == 2
+    assert out == ""
+    assert err == "error: --max-degree 100000 exceeds the cap 10000; raise --degree-cap\n"
+    code, _, err = _run(capsys, argv + ["--max-degree", "8", "--degree-cap", "5"])
+    assert code == 2
+    assert err == "error: --max-degree 8 exceeds the cap 5; raise --degree-cap\n"
+    assert _run(capsys, argv + ["--max-degree", "5", "--degree-cap", "5"])[0] == 0
 
 
 def test_missing_subcommand_exits_2(capsys):

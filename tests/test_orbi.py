@@ -5,7 +5,7 @@ from itertools import permutations, product
 
 import pytest
 
-from pillowcase.lattice import HnfLattice, sigma1
+from pillowcase.lattice import HnfLattice, enumerate_sublattices, sigma1
 from pillowcase.orbi import (
     OrbiPoint,
     classify_images,
@@ -139,6 +139,21 @@ def test_correlator_support(count_table):
             assert d % 4 == 0
         else:
             pytest.fail(f"unexpected support at {ins}, d={d}")
+
+
+def test_census_count_matches_per_lattice_count():
+    # the loop the per-degree census replaced: every sublattice, every
+    # reordering of the free corners, matched position by position
+    for d in range(1, 25):
+        lattices = enumerate_sublattices(d)
+        for rest in product(tuple(OrbiPoint), repeat=3):
+            expected = 0
+            for lat in lattices:
+                img = classify_images(lat)
+                for tau in permutations((2, 3, 4)):
+                    if tuple(img[t - 2] for t in tau) == rest:
+                        expected += 1
+            assert correlator((X1,) + rest, d) == expected, (rest, d)
 
 
 def test_partition_identity():
