@@ -53,8 +53,6 @@ def _usage_error(message: str) -> int:
 
 
 def cmd_sublattices(args) -> int:
-    if args.degree < 1:
-        return _usage_error(f"--degree must be a positive integer, got {args.degree}")
     lats = lattice.enumerate_sublattices(args.degree)
     s1 = lattice.sigma1(args.degree)
     if args.format == "json":
@@ -81,8 +79,6 @@ def cmd_sublattices(args) -> int:
 
 
 def cmd_series(args) -> int:
-    if args.max_degree < 0:
-        return _usage_error(f"--max-degree must be >= 0, got {args.max_degree}")
     series = SERIES_BUILDERS[args.which](args.max_degree)
     if args.format == "json":
         print(_dump(qseries.to_json(series)))
@@ -116,8 +112,6 @@ def cmd_correlators(args) -> int:
         ins = _parse_insertions(args.insertions)
     except ValueError as exc:
         return _usage_error(str(exc))
-    if args.max_degree < 1:
-        return _usage_error(f"--max-degree must be >= 1, got {args.max_degree}")
     series = orbi.correlator_series(ins, args.max_degree)
     labels = [int(p) for p in ins]
     if args.format == "json":
@@ -137,8 +131,6 @@ def cmd_correlators(args) -> int:
 
 
 def cmd_potential(args) -> int:
-    if args.max_degree < 1:
-        return _usage_error(f"--max-degree must be >= 1, got {args.max_degree}")
     assembled = potential.assemble_potential(args.max_degree)
     if args.compare_st:
         reference = potential.st_reference_potential(args.max_degree)
@@ -180,18 +172,21 @@ def _diff_json(diff) -> dict:
 def _verify_checks(suite: str, dmax: int):
     if suite in ("oracle", "all"):
         cap = min(dmax, oracle.SL2_EXHAUSTIVE_MAX)
-        yield f"oracle (d <= {cap})", lambda: oracle.orbit_agreement_check(cap)
+        yield f"oracle (d <= {cap})", lambda cap=cap: oracle.orbit_agreement_check(cap)
     if suite in ("parity", "all"):
-        yield f"parity (d <= {dmax})", lambda: oracle.image_table_check(dmax)
+        cap = min(dmax, oracle.PARITY_EXHAUSTIVE_MAX)
+        yield f"parity (d <= {cap})", lambda cap=cap: oracle.image_table_check(cap)
     if suite in ("rh", "all"):
         cap = min(dmax, oracle.RH_EXHAUSTIVE_MAX)
 
         def run_rh(cap=cap):
+            solutions = 0
             for d in range(1, cap + 1):
                 result = oracle.rh_uniqueness_check(d)
                 if not result:
                     return result
-            return result
+                solutions += result.details["solutions"]
+            return oracle.CheckResult(True, "rh", details={"degrees": cap, "solutions": solutions})
 
         yield f"rh (d <= {cap})", run_rh
     if suite in ("lumpsum", "all"):
@@ -201,8 +196,6 @@ def _verify_checks(suite: str, dmax: int):
 
 
 def cmd_verify(args) -> int:
-    if args.max_degree < 1:
-        return _usage_error(f"--max-degree must be >= 1, got {args.max_degree}")
     results = []
     for label, run in _verify_checks(args.suite, args.max_degree):
         result = run()
@@ -236,8 +229,15 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors as one `error: ...` line, exit code 2; subparsers inherit it."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pillowcase",
         description="Exact sublattice counts, q-series and the potential of the pillowcase.",
     )
@@ -246,12 +246,12 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_format(p):
         p.add_argument("--format", choices=("json", "csv", "pretty"), default="pretty")
 
-    def add_degree(p, flag, **kwargs):
-        # The degree option and the cap that main() holds it to, so a typo
-        # cannot start an enormous enumeration by accident.
+    def add_degree(p, flag, minimum=1, **kwargs):
+        # The degree option and the bounds main() holds it to (>= minimum, <= the
+        # cap), so a typo cannot start an enormous enumeration by accident.
         option = p.add_argument(flag, type=int, **kwargs)
         p.add_argument("--degree-cap", type=int, default=DEFAULT_DEGREE_CAP)
-        p.set_defaults(degree_option=option)
+        p.set_defaults(degree_option=option, degree_minimum=minimum)
 
     p = sub.add_parser("sublattices", help="list the index-d sublattices")
     add_degree(p, "--degree", required=True)
@@ -260,7 +260,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("series", help="print one of the named q-series")
     p.add_argument("--which", choices=tuple(SERIES_BUILDERS), required=True)
-    add_degree(p, "--max-degree", default=DEFAULT_TRUNC)
+    add_degree(p, "--max-degree", minimum=0, default=DEFAULT_TRUNC)
     add_format(p)
     p.set_defaults(run=cmd_series)
 
@@ -295,12 +295,12 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    option = args.degree_option
-    degree = getattr(args, option.dest)
+    flag = args.degree_option.option_strings[0]
+    degree = getattr(args, args.degree_option.dest)
+    if degree < args.degree_minimum:
+        return _usage_error(f"{flag} must be >= {args.degree_minimum}, got {degree}")
     if degree > args.degree_cap:
-        return _usage_error(
-            f"{option.option_strings[0]} {degree} exceeds the cap {args.degree_cap}; raise --degree-cap"
-        )
+        return _usage_error(f"{flag} {degree} exceeds the cap {args.degree_cap}; raise --degree-cap")
     return args.run(args)
 
 

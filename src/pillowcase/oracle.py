@@ -23,8 +23,11 @@ from .orbi import OrbiPoint
 # Exhaustive ranges.  The matrix census scans a box of (2d+1)^4 candidate
 # matrices and the branching census walks every partition of d across four
 # fibers, so both are capped where a desk machine still finishes in seconds.
+# The parity census walks about 0.82 * dmax^2 sublattices in exact rational
+# arithmetic; all eight parity classes occur by d = 6, so its cap drops no case.
 SL2_EXHAUSTIVE_MAX = 12
 RH_EXHAUSTIVE_MAX = 9
+PARITY_EXHAUSTIVE_MAX = 400
 
 
 @dataclass(frozen=True)

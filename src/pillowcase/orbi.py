@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from collections import Counter
 from enum import IntEnum
-from fractions import Fraction
 from functools import cache
 from itertools import permutations
 
@@ -156,9 +155,7 @@ def correlator_series(ins, trunc: int) -> QSeries:
     if trunc < 1:
         raise ValueError(f"need trunc >= 1, got {trunc}")
     ins = _as_points(ins)
-    return QSeries(
-        (Fraction(0),) + tuple(Fraction(correlator(ins, d)) for d in range(1, trunc + 1))
-    )
+    return QSeries((0,) + tuple(correlator(ins, d) for d in range(1, trunc + 1)))
 
 
 def total_count_series(trunc: int) -> QSeries:
@@ -170,10 +167,5 @@ def total_count_series(trunc: int) -> QSeries:
     if trunc < 1:
         raise ValueError(f"need trunc >= 1, got {trunc}")
     six = len(MARKING_PERMUTATIONS)
-    return QSeries(
-        (Fraction(0),)
-        + tuple(
-            Fraction(six * sum(lattices for _, lattices in _image_census(d)))
-            for d in range(1, trunc + 1)
-        )
-    )
+    lattices = (sum(n for _, n in _image_census(d)) for d in range(1, trunc + 1))
+    return QSeries((0,) + tuple(six * n for n in lattices))

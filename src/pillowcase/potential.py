@@ -35,8 +35,8 @@ class Monomial:
     exponents: tuple[int, int, int, int, int]
 
     def __post_init__(self) -> None:
-        if len(self.exponents) != 5 or any(e < 0 for e in self.exponents):
-            raise ValueError(f"need 5 non-negative exponents, got {self.exponents}")
+        if len(self.exponents) != 5 or any(type(e) is not int or e < 0 for e in self.exponents):
+            raise ValueError(f"need 5 non-negative int exponents, got {self.exponents}")
 
     def __str__(self) -> str:
         parts = []
@@ -75,11 +75,9 @@ class Potential:
         object.__setattr__(self, "terms", kept)
 
 
-def _quartic_monomial(ins: tuple[OrbiPoint, ...]) -> Monomial:
-    exps = [0, 0, 0, 0, 0]
-    for p in ins:
-        exps[int(p)] += 1
-    return Monomial(tuple(exps))
+def _monomial(*indices: int) -> Monomial:
+    # The product of t_i over the listed indices: t0*tj^2 is _monomial(0, j, j).
+    return Monomial(tuple(indices.count(i) for i in range(5)))
 
 
 def assemble_potential(trunc: int) -> Potential:
@@ -98,11 +96,9 @@ def assemble_potential(trunc: int) -> Potential:
     terms: dict[Monomial, QSeries] = {}
     pair_constant = Fraction(3, factorial(3)) * Fraction(1, 2)  # = 1/4
     for j in range(1, 5):
-        exps = [0, 0, 0, 0, 0]
-        exps[0], exps[j] = 1, 2
-        terms[Monomial(tuple(exps))] = qseries.constant_series(pair_constant, trunc)
+        terms[_monomial(0, j, j)] = qseries.constant_series(pair_constant, trunc)
     for ins in combinations_with_replacement(tuple(OrbiPoint), 4):
-        mono = _quartic_monomial(ins)
+        mono = _monomial(*ins)
         weight = Fraction(1, 1)
         for e in mono.exponents[1:]:
             weight /= factorial(e)
@@ -117,23 +113,14 @@ def st_reference_potential(trunc: int) -> Potential:
     """The closed form: f0 on t1*t2*t3*t4, f1/4 on each t_j^4, f2/6 on pairs."""
     if trunc < 1:
         raise ValueError(f"need trunc >= 1, got {trunc}")
-    terms: dict[Monomial, QSeries] = {}
-    for j in range(1, 5):
-        exps = [0, 0, 0, 0, 0]
-        exps[0], exps[j] = 1, 2
-        terms[Monomial(tuple(exps))] = qseries.constant_series(Fraction(1, 4), trunc)
-    terms[Monomial((0, 1, 1, 1, 1))] = qseries.f0_series(trunc)
+    terms = {_monomial(1, 2, 3, 4): qseries.f0_series(trunc)}
     quarter_f1 = qseries.scale(qseries.f1_series(trunc), Fraction(1, 4))
-    for j in range(1, 5):
-        exps = [0, 0, 0, 0, 0]
-        exps[j] = 4
-        terms[Monomial(tuple(exps))] = quarter_f1
     sixth_f2 = qseries.scale(qseries.f2_series(trunc), Fraction(1, 6))
-    for i in range(1, 5):
-        for j in range(i + 1, 5):
-            exps = [0, 0, 0, 0, 0]
-            exps[i], exps[j] = 2, 2
-            terms[Monomial(tuple(exps))] = sixth_f2
+    for j in range(1, 5):
+        terms[_monomial(0, j, j)] = qseries.constant_series(Fraction(1, 4), trunc)
+        terms[_monomial(j, j, j, j)] = quarter_f1
+        for i in range(1, j):
+            terms[_monomial(i, i, j, j)] = sixth_f2
     return Potential(Fraction(1, 2), terms, trunc)
 
 
@@ -173,9 +160,12 @@ def compare_potentials(a: Potential, b: Potential) -> list[PotentialDiff]:
 # ---------------------------------------------------------------------------
 
 
-def _series_head(series: QSeries, max_terms: int) -> str:
+_PRETTY_MAX_TERMS = 4  # nonzero coefficients shown per series before "..."
+
+
+def _series_head(coeffs: tuple[Fraction, ...]) -> str:
     shown = []
-    for i, c in enumerate(series.coeffs):
+    for i, c in enumerate(coeffs):
         if c == 0:
             continue
         if i == 0:
@@ -184,13 +174,13 @@ def _series_head(series: QSeries, max_terms: int) -> str:
             shown.append(f"{c}*q" if c != 1 else "q")
         else:
             shown.append(f"{c}*q^{i}" if c != 1 else f"q^{i}")
-        if len(shown) == max_terms:
+        if len(shown) == _PRETTY_MAX_TERMS:
             shown.append("...")
             break
     return " + ".join(shown) if shown else "0"
 
 
-def potential_pretty(p: Potential, max_terms: int = 4) -> str:
+def potential_pretty(p: Potential) -> str:
     """Group monomials sharing a series, one bracketed series per family."""
     lines = [f"F = ({p.log_term})*t0^2*log q"]
     families: dict[tuple, list[Monomial]] = {}
@@ -198,8 +188,7 @@ def potential_pretty(p: Potential, max_terms: int = 4) -> str:
         families.setdefault(series.coeffs, []).append(mono)
     for coeffs in sorted(families, key=lambda c: max(families[c]), reverse=True):
         monos = " + ".join(str(m) for m in sorted(families[coeffs], reverse=True))
-        head = _series_head(QSeries(coeffs), max_terms)
-        lines.append(f"  + ({monos}) * [{head}]")
+        lines.append(f"  + ({monos}) * [{_series_head(coeffs)}]")
     return "\n".join(lines)
 
 
@@ -214,6 +203,9 @@ def potential_to_json(p: Potential) -> dict:
 
 
 def potential_from_json(obj: dict) -> Potential:
+    """Inverse of :func:`potential_to_json`; the log term must be a rational string."""
+    if type(obj["log_term"]) is not str:
+        raise ValueError(f"log_term must be a rational string, got {obj['log_term']!r}")
     terms = {
         Monomial(tuple(entry["monomial"])): qseries.from_json(entry["series"])
         for entry in obj["terms"]
@@ -221,4 +213,4 @@ def potential_from_json(obj: dict) -> Potential:
     if not terms:
         raise ValueError("a potential with no terms has no recoverable truncation")
     trunc = next(iter(terms.values())).trunc
-    return Potential(Fraction(obj["log_term"]), terms, trunc)
+    return Potential(obj["log_term"], terms, trunc)

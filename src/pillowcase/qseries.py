@@ -1,6 +1,7 @@
 """Truncated power series in q with exact rational coefficients.
 
-A :class:`QSeries` stores coefficients c_0..c_N as `fractions.Fraction`.
+A :class:`QSeries` stores coefficients c_0..c_N as `fractions.Fraction`; only
+its constructor converts them (ints, rational strings) or rejects them (floats).
 Truncation is part of the value: arithmetic carries trunc = min of the
 operand truncations, and reading a coefficient beyond the truncation is an
 error rather than a silent zero.  No floating point enters anywhere.
@@ -24,6 +25,8 @@ Rational = Fraction | int
 
 
 def _as_fraction(value) -> Fraction:
+    if type(value) is Fraction:
+        return value
     if isinstance(value, float):
         raise TypeError("floating-point coefficients are not allowed")
     return Fraction(value)
@@ -61,7 +64,7 @@ def zero_series(trunc: int) -> QSeries:
 def constant_series(value: Rational, trunc: int) -> QSeries:
     if trunc < 0:
         raise ValueError(f"need trunc >= 0, got {trunc}")
-    return QSeries((_as_fraction(value),) + (Fraction(0),) * trunc)
+    return QSeries((value,) + (0,) * trunc)
 
 
 def coefficient(a: QSeries, d: int) -> Fraction:
@@ -76,13 +79,11 @@ def coefficient(a: QSeries, d: int) -> Fraction:
 
 
 def add(a: QSeries, b: QSeries) -> QSeries:
-    n = min(a.trunc, b.trunc)
-    return QSeries(tuple(a.coeffs[i] + b.coeffs[i] for i in range(n + 1)))
+    return QSeries(tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
 
 
 def sub(a: QSeries, b: QSeries) -> QSeries:
-    n = min(a.trunc, b.trunc)
-    return QSeries(tuple(a.coeffs[i] - b.coeffs[i] for i in range(n + 1)))
+    return QSeries(tuple(x - y for x, y in zip(a.coeffs, b.coeffs)))
 
 
 def scale(a: QSeries, r: Rational) -> QSeries:
@@ -93,7 +94,7 @@ def scale(a: QSeries, r: Rational) -> QSeries:
 def mul(a: QSeries, b: QSeries) -> QSeries:
     """Cauchy product, truncated to the shorter operand."""
     n = min(a.trunc, b.trunc)
-    out = [Fraction(0)] * (n + 1)
+    out = [0] * (n + 1)
     for i in range(n + 1):
         ai = a.coeffs[i]
         if ai == 0:
@@ -112,7 +113,7 @@ def substitute_power(a: QSeries, k: int) -> QSeries:
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
     n = a.trunc
-    out = [Fraction(0)] * (n + 1)
+    out = [0] * (n + 1)
     for j in range(0, n + 1, k):
         out[j] = a.coeffs[j // k]
     return QSeries(tuple(out))
@@ -132,17 +133,17 @@ def divisor_series(trunc: int) -> QSeries:
     """sum_{d>=1} sigma_1(d) q^d, zero constant term."""
     if trunc < 0:
         raise ValueError(f"need trunc >= 0, got {trunc}")
-    return QSeries((Fraction(0),) + tuple(Fraction(sigma1(d)) for d in range(1, trunc + 1)))
+    return QSeries((0,) + tuple(sigma1(d) for d in range(1, trunc + 1)))
 
 
 def divisor_series_odd(trunc: int) -> QSeries:
     s = divisor_series(trunc)
-    return QSeries(tuple(c if i % 2 else Fraction(0) for i, c in enumerate(s.coeffs)))
+    return QSeries(tuple(c if i % 2 else 0 for i, c in enumerate(s.coeffs)))
 
 
 def divisor_series_even(trunc: int) -> QSeries:
     s = divisor_series(trunc)
-    return QSeries(tuple(Fraction(0) if i % 2 else c for i, c in enumerate(s.coeffs)))
+    return QSeries(tuple(0 if i % 2 else c for i, c in enumerate(s.coeffs)))
 
 
 def f_series(trunc: int) -> QSeries:
@@ -177,8 +178,11 @@ def to_json(a: QSeries) -> dict:
 
 
 def from_json(obj: dict) -> QSeries:
-    coeffs = tuple(Fraction(s) for s in obj["coeffs"])
-    series = QSeries(coeffs)
-    if "trunc" in obj and int(obj["trunc"]) != series.trunc:
-        raise ValueError(f"trunc {obj['trunc']} does not match {len(coeffs)} coefficients")
+    """Inverse of :func:`to_json`; coefficients must be strings, trunc a plain int."""
+    coeffs = obj["coeffs"]
+    if not isinstance(coeffs, list) or not all(type(c) is str for c in coeffs):
+        raise ValueError(f"coefficients must be a list of rational strings, got {coeffs!r}")
+    series = QSeries(tuple(coeffs))
+    if "trunc" in obj and (type(obj["trunc"]) is not int or obj["trunc"] != series.trunc):
+        raise ValueError(f"trunc {obj['trunc']!r} does not match {len(coeffs)} coefficients")
     return series

@@ -1,12 +1,17 @@
 from __future__ import annotations
 
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+from unittest.mock import patch
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pillowcase import cli, orbi, potential, qseries
+from pillowcase import cli, oracle, orbi, potential, qseries
 from pillowcase.lattice import HnfLattice, enumerate_sublattices
 from pillowcase.orbi import correlator_series
 
@@ -212,6 +217,31 @@ def test_verify_csv_one_line_per_suite(capsys):
     )
 
 
+def test_verify_rh_reports_every_degree(capsys):
+    code, out, _ = _run(capsys, ["verify", "--suite", "rh", "--max-degree", "2", "--format", "json"])
+    assert code == 0
+    (record,) = json.loads(out)
+    assert record["details"] == {"degrees": 2, "solutions": 24 + 36}
+
+
+def test_verify_parity_degree_is_clamped(capsys, monkeypatch):
+    # The suite is replaced by a recorder, so the clamp is checked without
+    # walking every sublattice up to the cap.
+    seen = []
+
+    def fake_check(dmax):
+        seen.append(dmax)
+        return oracle.CheckResult(True, "parity")
+
+    monkeypatch.setattr(oracle, "image_table_check", fake_check)
+    code, out, _ = _run(
+        capsys, ["verify", "--suite", "parity", "--max-degree", "10000", "--format", "csv"]
+    )
+    assert code == 0
+    assert out == "parity (d <= 400),PASS\n"
+    assert seen == [oracle.PARITY_EXHAUSTIVE_MAX] == [400]
+
+
 def test_verify_usage_errors(capsys):
     assert _run(capsys, ["verify", "--suite", "bogus"])[0] == 2
     assert _run(capsys, ["verify", "--suite", "all", "--max-degree", "0"])[0] == 2
@@ -245,6 +275,85 @@ def test_every_degree_is_capped(capsys, argv):
 def test_missing_subcommand_exits_2(capsys):
     assert _run(capsys, [])[0] == 2
     assert _run(capsys, ["frobnicate"])[0] == 2
+
+
+def test_every_degree_has_a_lower_bound(capsys):
+    messages = {
+        ("sublattices", "--degree", "0"): "--degree must be >= 1, got 0",
+        ("series", "--which", "f", "--max-degree", "-1"): "--max-degree must be >= 0, got -1",
+        ("correlators", "--insertions", "1,2,3,4", "--max-degree", "0"): "--max-degree must be >= 1, got 0",
+        ("potential", "--max-degree", "0"): "--max-degree must be >= 1, got 0",
+        ("verify", "--max-degree", "-3"): "--max-degree must be >= 1, got -3",
+    }
+    for argv, message in messages.items():
+        assert _run(capsys, list(argv)) == (2, "", f"error: {message}\n")
+    assert _run(capsys, ["series", "--which", "f", "--max-degree", "0"])[0] == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["frobnicate"],
+        ["sublattices"],
+        ["sublattices", "--degree", "x"],
+        ["series", "--which", "f", "--max-degree", "1.5"],
+        ["series", "--which", "D"],
+        ["verify", "--suite", "bogus"],
+        ["potential", "--format", "xml"],
+        ["potential", "--bogus"],
+    ],
+)
+def test_usage_error_is_one_line(capsys, argv):
+    code, out, err = _run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+
+
+# Junk holds no digit, so every number in an argv comes from -3..6.
+_junk = st.text(max_size=6).filter(lambda s: not any(c.isdigit() for c in s))
+_degree = st.one_of(st.integers(-3, 6).map(str), _junk)
+
+
+def _choice(*values):
+    return st.one_of(st.sampled_from(values), _junk)
+
+
+# Each subcommand's options and the values tried for them; None marks a switch.
+_FUZZ_OPTIONS = {
+    "sublattices": {"--degree": _degree},
+    "series": {"--which": _choice(*cli.SERIES_BUILDERS), "--max-degree": _degree},
+    "correlators": {"--insertions": _choice("1,2,3,4", "2,2,3,3"), "--max-degree": _degree},
+    "potential": {"--max-degree": _degree, "--compare-st": None},
+    "verify": {"--suite": _choice(*cli.VERIFY_SUITES), "--max-degree": _degree},
+}
+_FUZZ_COMMON = {"--degree-cap": _degree, "--format": _choice("pretty", "csv", "json")}
+
+
+@st.composite
+def _fuzz_argv(draw):
+    command = draw(st.one_of(st.sampled_from(tuple(_FUZZ_OPTIONS)), _junk))
+    argv = [command]
+    for flag, value in {**_FUZZ_OPTIONS.get(command, {}), **_FUZZ_COMMON}.items():
+        if draw(st.booleans()):
+            argv += [flag] if value is None else [flag, draw(value)]
+    return argv + draw(st.lists(_junk, max_size=1))
+
+
+@settings(deadline=None, max_examples=300)
+@given(_fuzz_argv())
+def test_fuzzed_argv_exits_cleanly(argv):
+    # The default degree and the default cap drop to 6, so no argv reaches a
+    # degree above 6 and the oracle's brute force stays fast.
+    with (
+        patch.object(cli, "DEFAULT_TRUNC", 6),
+        patch.object(cli, "DEFAULT_DEGREE_CAP", 6),
+        redirect_stdout(io.StringIO()),
+        redirect_stderr(io.StringIO()),
+    ):
+        code = cli.main(argv)
+    assert code in (0, 1, 2)
 
 
 # ---------------------------------------------------------------------------

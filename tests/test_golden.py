@@ -184,7 +184,7 @@ GOLDEN = {
     'potential --max-degree 40 --compare-st --format json': '9160780d5c504b1c6e70039d6782e0de65a7dc60e0eaf55356ff930d2619bc6b',
     'verify --suite all --max-degree 40 --format pretty': '387109f0d578c095430cfef74efc360372ac0766fb0125bd88c64327b3ed8eb9',
     'verify --suite all --max-degree 40 --format csv': '04d9d5fd17eccce5f1cc1bd3c8002e14c8cec9347713e0cce310796c69740021',
-    'verify --suite all --max-degree 40 --format json': '78c5454b3161f0f063b160e52984c37eb792876893192a382a491bdd82d615c5',
+    'verify --suite all --max-degree 40 --format json': 'feffcc05b02d575825c5ad3de9e8a8317576c5688b11f72c1c758ccd62afa296',
 }
 
 

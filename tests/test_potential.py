@@ -113,6 +113,10 @@ def test_potential_validation():
     with pytest.raises(ValueError):
         Monomial((0, -1, 0, 0, 0))
     with pytest.raises(ValueError):
+        Monomial((0, True, 1, 1, 1))
+    with pytest.raises(ValueError):
+        Monomial((0, 1.0, 1, 1, 1))
+    with pytest.raises(ValueError):
         Potential(F(1), {_mono(0, 4, 0, 0, 0): QSeries((F(1), F(1)))}, 5)
 
 
@@ -127,6 +131,15 @@ def test_json_round_trip():
     blob = potential_to_json(p)
     assert blob["log_term"] == "1/2"
     assert potential_from_json(blob) == p
+
+
+def test_json_rejects_inexact_input():
+    blob = potential_to_json(assemble_potential(2))
+    with pytest.raises(ValueError):
+        potential_from_json({**blob, "log_term": 0.5})
+    entry = {**blob["terms"][0], "monomial": [0, True, 1.0, 1, 1]}
+    with pytest.raises(ValueError):
+        potential_from_json({**blob, "terms": [entry]})
 
 
 def test_pretty_groups_families():

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pillowcase import qseries
+from pillowcase import cli, qseries
+from pillowcase.orbi import correlator_series, total_count_series
 from pillowcase.qseries import (
     QSeries,
     add,
@@ -141,6 +142,22 @@ def test_floats_are_rejected():
         constant_series(1.0, 2)
 
 
+def test_every_builder_stores_fractions():
+    # The constructor is the one place a coefficient is converted, so a
+    # builder that passes ints (zero fills, divisor sums, counts) still ends
+    # with Fractions, and one that passes Fractions keeps them.
+    built = [builder(9) for builder in cli.SERIES_BUILDERS.values()] + [
+        correlator_series((1, 2, 3, 4), 9),
+        total_count_series(9),
+        constant_series(3, 9),
+        mul(divisor_series(9), divisor_series(9)),
+        substitute_power(f_series(9), 3),
+        qseries.from_json({"trunc": 2, "coeffs": ["1", "-1/2", "0"]}),
+    ]
+    for series in built:
+        assert all(type(c) is Fraction for c in series.coeffs), series
+
+
 def test_empty_series_rejected():
     with pytest.raises(ValueError):
         QSeries(())
@@ -186,3 +203,19 @@ def test_json_round_trip():
 def test_json_trunc_consistency_enforced():
     with pytest.raises(ValueError):
         qseries.from_json({"trunc": 3, "coeffs": ["0", "1"]})
+
+
+@pytest.mark.parametrize(
+    "blob",
+    [
+        {"trunc": 1, "coeffs": [0.5, "1"]},
+        {"trunc": 1, "coeffs": ["0", 1]},
+        {"trunc": 1, "coeffs": "01"},
+        {"trunc": "1", "coeffs": ["0", "1"]},
+        {"trunc": 1.9, "coeffs": ["0", "1"]},
+        {"trunc": True, "coeffs": ["0", "1"]},
+    ],
+)
+def test_json_rejects_inexact_input(blob):
+    with pytest.raises(ValueError):
+        qseries.from_json(blob)
