@@ -13,7 +13,6 @@ from .lattice import (
     det,
     enumerate_sublattices,
     hnf_reduce,
-    same_sublattice,
     sigma1,
 )
 from .orbi import (
@@ -51,7 +50,6 @@ __all__ = [
     "det",
     "hnf_reduce",
     "enumerate_sublattices",
-    "same_sublattice",
     "sigma1",
     "OrbiPoint",
     "classify_images",

@@ -70,21 +70,6 @@ def det(basis: Basis2) -> int:
     return alpha * delta - beta * gamma
 
 
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """Extended Euclid: (g, x, y) with a*x + b*y = g = gcd(a, b) >= 0."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r != 0:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
-
-
 def hnf_reduce(basis: Basis2) -> HnfLattice:
     """Canonical Hermite triple of the sublattice spanned by ``basis``.
 
@@ -104,15 +89,12 @@ def hnf_reduce(basis: Basis2) -> HnfLattice:
     (alpha, beta), (gamma, delta) = basis.v1, basis.v2
     g = gcd(beta, delta)  # beta = delta = 0 would force determinant 0
     beta_p, delta_p = beta // g, delta // g
-    _, x, y = _xgcd(beta_p, delta_p)
+    # Bezout pair beta'*x + delta'*y = 1; delta' = 0 forces beta' = +-1.
+    x = pow(beta_p, -1, abs(delta_p)) if delta_p else beta_p
+    y = (1 - beta_p * x) // delta_p if delta_p else 0
     h = delta_p * alpha - beta_p * gamma  # h*g = d > 0, so h > 0
     m = (alpha * x + gamma * y) % h
     return HnfLattice(h, m, g)
-
-
-def same_sublattice(a: Basis2, b: Basis2) -> bool:
-    """Whether two bases span the same sublattice."""
-    return hnf_reduce(a) == hnf_reduce(b)
 
 
 def divisors(d: int) -> list[int]:

@@ -138,7 +138,7 @@ def _corner_of(x: Fraction, y: Fraction) -> OrbiPoint:
     return _CORNER_BY_FRACTION[key]
 
 
-def image_table_check(dmax: int, table=None) -> CheckResult:
+def image_table_check(dmax: int) -> CheckResult:
     """Recompute corner images from exact rational points for every sublattice.
 
     The half periods of the sublattice (h, m, g) sit at h/2, (h+m)/2 +
@@ -148,8 +148,6 @@ def image_table_check(dmax: int, table=None) -> CheckResult:
     """
     if dmax < 1:
         raise ValueError(f"need dmax >= 1, got {dmax}")
-    if table is None:
-        table = INSERTION_PARITY_TABLE
     half = Fraction(1, 2)
     lattices = 0
     for d in range(1, dmax + 1):
@@ -161,7 +159,7 @@ def image_table_check(dmax: int, table=None) -> CheckResult:
                     _corner_of((h + m) * half, g * half),
                     _corner_of(m * half, g * half),
                 )
-                from_table = table[(g % 2, h % 2, m % 2)]
+                from_table = INSERTION_PARITY_TABLE[(g % 2, h % 2, m % 2)]
                 from_main = orbi.classify_images(HnfLattice(h, m, g))
                 lattices += 1
                 if not (direct == from_table == from_main):
@@ -199,7 +197,7 @@ def _closed_form_count(ins, d: int):
     return 0
 
 
-def correlator_crosscheck(dmax: int, correlator_fn=None) -> CheckResult:
+def correlator_crosscheck(dmax: int) -> CheckResult:
     """Enumerated four-point counts against their divisor-sum closed forms.
 
     Covers every insertion class (all 35 multisets over the four corners,
@@ -207,12 +205,11 @@ def correlator_crosscheck(dmax: int, correlator_fn=None) -> CheckResult:
     """
     if dmax < 1:
         raise ValueError(f"need dmax >= 1, got {dmax}")
-    corr = correlator_fn if correlator_fn is not None else orbi.correlator
     checked = 0
     for d in range(1, dmax + 1):
         for ins in combinations_with_replacement(tuple(OrbiPoint), 4):
             expected = _closed_form_count(ins, d)
-            got = corr(ins, d)
+            got = orbi.correlator(ins, d)
             checked += 1
             if got != expected:
                 return CheckResult(

@@ -52,12 +52,14 @@ TRANSLATION_COSETS: dict[str, tuple[int, int]] = {
     "half_i": (0, 1),      # shift by sqrt(-1)/2
 }
 
-# The unique half-period translation carrying a given corner back to X1.
-_TRANSLATION_TO_X1 = {
-    OrbiPoint.X2: "half",
-    OrbiPoint.X3: "half_plus",
-    OrbiPoint.X4: "half_i",
-}
+
+def _translation(coset: tuple[int, int]) -> dict[OrbiPoint, OrbiPoint]:
+    # Translating by the half period with doubled coordinates `coset` adds
+    # it to every corner's coset mod 2.
+    ca, cb = coset
+    return {
+        p: POINT_BY_COSET[((a + ca) % 2, (b + cb) % 2)] for p, (a, b) in COSET.items()
+    }
 
 
 def translate_action(name: str) -> dict[OrbiPoint, OrbiPoint]:
@@ -68,10 +70,11 @@ def translate_action(name: str) -> dict[OrbiPoint, OrbiPoint]:
     """
     if name not in TRANSLATION_COSETS:
         raise ValueError(f"unknown translation {name!r}")
-    ca, cb = TRANSLATION_COSETS[name]
-    return {
-        p: POINT_BY_COSET[((a + ca) % 2, (b + cb) % 2)] for p, (a, b) in COSET.items()
-    }
+    return _translation(TRANSLATION_COSETS[name])
+
+
+# Translation by a corner's own coset carries that corner to X1.
+_TO_X1 = {p: _translation(c) for p, c in COSET.items()}
 
 
 def classify_images(lat: HnfLattice) -> tuple[OrbiPoint, OrbiPoint, OrbiPoint]:
@@ -99,17 +102,10 @@ def _as_points(ins) -> InsertionTuple:
 
 
 def _x1_first(ins: InsertionTuple) -> InsertionTuple:
-    # Counting happens with the first marked corner pinned over X1.  A tuple
-    # avoiding X1 entirely is translated there by a half period (the count is
-    # translation invariant); a tuple merely listing X1 later is reordered
-    # (the count is symmetric in its insertions).
-    if OrbiPoint.X1 not in ins:
-        action = translate_action(_TRANSLATION_TO_X1[ins[0]])
-        ins = tuple(action[p] for p in ins)
-    if ins[0] is not OrbiPoint.X1:
-        i = ins.index(OrbiPoint.X1)
-        ins = (ins[i],) + ins[1:i] + (ins[0],) + ins[i + 1 :]
-    return ins
+    # Counting happens with the first marked corner pinned over X1; the count
+    # is translation invariant, so translate the first corner there.
+    action = _TO_X1[ins[0]]
+    return tuple(action[p] for p in ins)
 
 
 def _image_census(d: int) -> tuple[tuple[tuple[OrbiPoint, OrbiPoint, OrbiPoint], int], ...]:

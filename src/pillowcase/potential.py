@@ -25,7 +25,7 @@ from math import factorial
 
 from . import orbi, qseries
 from .orbi import OrbiPoint
-from .qseries import QSeries
+from .qseries import QSeries, _as_fraction
 
 
 @dataclass(frozen=True, order=True)
@@ -71,7 +71,7 @@ class Potential:
                 raise ValueError(
                     f"series truncation {series.trunc} does not match potential {self.trunc}"
                 )
-        object.__setattr__(self, "log_term", Fraction(self.log_term))
+        object.__setattr__(self, "log_term", _as_fraction(self.log_term))
         object.__setattr__(self, "terms", kept)
 
 

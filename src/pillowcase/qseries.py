@@ -1,10 +1,10 @@
 """Truncated power series in q with exact rational coefficients.
 
 A :class:`QSeries` stores coefficients c_0..c_N as `fractions.Fraction`; only
-its constructor converts them (ints, rational strings) or rejects them (floats).
-Truncation is part of the value: arithmetic carries trunc = min of the
-operand truncations, and reading a coefficient beyond the truncation is an
-error rather than a silent zero.  No floating point enters anywhere.
+its constructor converts them (ints, rational strings) or rejects them (floats,
+bools).  Truncation is part of the value: arithmetic carries trunc = min of
+the operand truncations, and reading a coefficient beyond the truncation is
+an error rather than a silent zero.  No floating point enters anywhere.
 
 The series of interest are built from the divisor sum sigma_1:
 
@@ -27,8 +27,8 @@ Rational = Fraction | int
 def _as_fraction(value) -> Fraction:
     if type(value) is Fraction:
         return value
-    if isinstance(value, float):
-        raise TypeError("floating-point coefficients are not allowed")
+    if isinstance(value, (float, bool)):
+        raise TypeError(f"{type(value).__name__} values are not allowed, got {value!r}")
     return Fraction(value)
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from itertools import product
 
 import pytest
 from hypothesis import assume, given
@@ -13,7 +14,6 @@ from pillowcase.lattice import (
     divisors,
     enumerate_sublattices,
     hnf_reduce,
-    same_sublattice,
     sigma1,
 )
 
@@ -92,6 +92,34 @@ def test_hnf_reduce_idempotent_on_canonical_bases():
     for d in range(1, 41):
         for lat in enumerate_sublattices(d):
             assert hnf_reduce(lat.basis()) == lat
+
+
+def test_hnf_reduce_exhaustive_small_entries():
+    # Every positively oriented basis with entries in [-4, 4], delta' = 0 and
+    # negative delta' included: the reduced triple is the one index-d triple
+    # whose basis vectors lie in the span, by brute-force membership.
+    by_index = {n: enumerate_sublattices(n) for n in range(1, 33)}  # |det| <= 2*4*4
+    for a, b, c, d in product(range(-4, 5), repeat=4):
+        n = a * d - b * c
+        if n <= 0:
+            continue
+        basis = Basis2((a, b), (c, d))
+        inside = [
+            lat
+            for lat in by_index[n]
+            if _member(basis, (lat.h, 0)) and _member(basis, (lat.m, lat.g))
+        ]
+        assert len(inside) == 1
+        lat = hnf_reduce(basis)
+        assert lat == inside[0]
+        assert hnf_reduce(lat.basis()) == lat
+
+
+def test_equal_triples_exactly_when_same_span():
+    # Two bases span the same sublattice exactly when they reduce alike.
+    assert hnf_reduce(Basis2((2, 0), (0, 1))) == hnf_reduce(Basis2((2, 0), (2, 1)))
+    assert hnf_reduce(Basis2((2, 0), (0, 1))) != hnf_reduce(Basis2((2, 0), (1, 1)))
+    assert hnf_reduce(Basis2((1, 0), (0, 1))) == hnf_reduce(Basis2((0, -1), (1, 0)))
 
 
 def _recombine(basis: Basis2, word) -> Basis2:
@@ -199,19 +227,3 @@ def test_hnf_lattice_json_round_trip():
 def test_hnf_lattice_from_json_refuses_non_integer_fields(obj):
     with pytest.raises(ValueError):
         HnfLattice.from_json(obj)
-
-
-# ---------------------------------------------------------------------------
-# same_sublattice
-# ---------------------------------------------------------------------------
-
-
-def test_same_sublattice_examples():
-    assert same_sublattice(Basis2((2, 0), (0, 1)), Basis2((2, 0), (2, 1)))
-    assert not same_sublattice(Basis2((2, 0), (0, 1)), Basis2((2, 0), (1, 1)))
-    assert same_sublattice(Basis2((1, 0), (0, 1)), Basis2((0, -1), (1, 0)))
-
-
-def test_same_sublattice_rejects_bad_orientation():
-    with pytest.raises(ValueError):
-        same_sublattice(Basis2((1, 0), (0, 1)), Basis2((0, 1), (1, 0)))

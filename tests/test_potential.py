@@ -120,6 +120,20 @@ def test_potential_validation():
         Potential(F(1), {_mono(0, 4, 0, 0, 0): QSeries((F(1), F(1)))}, 5)
 
 
+@pytest.mark.parametrize("log_term", [0.5, True, False])
+def test_potential_refuses_inexact_log_term(log_term):
+    with pytest.raises(TypeError):
+        Potential(log_term, {}, 1)
+
+
+@pytest.mark.parametrize("log_term", [1, F(1, 2), "1/2"])
+def test_potential_converts_exact_log_term(log_term):
+    p = Potential(log_term, {}, 1)
+    assert type(p.log_term) is Fraction
+    assert p.log_term == F(log_term)
+
+
+
 def test_monomial_str():
     assert str(_mono(1, 2, 0, 0, 0)) == "t0*t1^2"
     assert str(_mono(0, 1, 1, 1, 1)) == "t1*t2*t3*t4"

@@ -142,6 +142,17 @@ def test_floats_are_rejected():
         constant_series(1.0, 2)
 
 
+def test_bools_are_rejected():
+    # bool is an int subclass; the constructor refuses it as it refuses float
+    with pytest.raises(TypeError):
+        QSeries((True, False))
+    with pytest.raises(TypeError):
+        constant_series(True, 1)
+    with pytest.raises(TypeError):
+        scale(f_series(2), True)
+
+
+
 def test_every_builder_stores_fractions():
     # The constructor is the one place a coefficient is converted, so a
     # builder that passes ints (zero fills, divisor sums, counts) still ends
