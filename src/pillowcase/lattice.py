@@ -31,6 +31,9 @@ class HnfLattice:
     g: int
 
     def __post_init__(self) -> None:
+        # Plain ints only: a float or a bool is refused rather than coerced.
+        if not (type(self.h) is type(self.m) is type(self.g) is int):
+            raise ValueError(f"h, m, g must be integers, got {self.h!r}, {self.m!r}, {self.g!r}")
         if self.h < 1 or self.g < 1:
             raise ValueError(f"need h >= 1 and g >= 1, got h={self.h}, g={self.g}")
         if not 0 <= self.m < self.h:
@@ -48,15 +51,9 @@ class HnfLattice:
 
     @classmethod
     def from_json(cls, obj: dict) -> "HnfLattice":
-        # Fields must be plain ints: a float, a string or a bool is refused
-        # rather than coerced.
-        keys = ("h", "m", "g", "d") if "d" in obj else ("h", "m", "g")
-        for key in keys:
-            if type(obj.get(key)) is not int:
-                raise ValueError(f"field {key!r} must be an integer, got {obj.get(key)!r}")
-        lat = cls(obj["h"], obj["m"], obj["g"])
-        if "d" in obj and obj["d"] != lat.d:
-            raise ValueError(f"inconsistent index: d={obj['d']} but h*g={lat.d}")
+        lat = cls(obj.get("h"), obj.get("m"), obj.get("g"))
+        if "d" in obj and (type(obj["d"]) is not int or obj["d"] != lat.d):
+            raise ValueError(f"field 'd' must be the integer h*g = {lat.d}, got {obj['d']!r}")
         return lat
 
 

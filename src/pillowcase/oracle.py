@@ -146,8 +146,8 @@ def image_table_check(dmax: int) -> CheckResult:
     square and the fractional parts name the corner.  The result must agree
     with both the parity table above and the main classification.
     """
-    if dmax < 1:
-        raise ValueError(f"need dmax >= 1, got {dmax}")
+    if not 1 <= dmax <= PARITY_EXHAUSTIVE_MAX:
+        raise ValueError(f"exhaustive census covers 1 <= d <= {PARITY_EXHAUSTIVE_MAX}, got {dmax}")
     half = Fraction(1, 2)
     lattices = 0
     for d in range(1, dmax + 1):

@@ -108,19 +108,24 @@ def _x1_first(ins: InsertionTuple) -> InsertionTuple:
     return tuple(action[p] for p in ins)
 
 
-def _image_census(d: int) -> tuple[tuple[tuple[OrbiPoint, OrbiPoint, OrbiPoint], int], ...]:
+def _cover_census(d: int) -> dict[InsertionTuple, int]:
     # Every count at degree d reads this one census: the number of index-d
-    # sublattices per image triple (at most eight, one per parity class).
-    # It holds lattice counts only; the callers apply the marking
-    # permutations on every call.  The memo is keyed by the enumerator and
-    # the classifier in use as well as the degree, so a patched or wrapped
-    # one (fault injection, tracing) never reads counts another one built.
-    return _census(d, enumerate_sublattices, classify_images)
+    # covers per ordered corner image of the marked points, X1 pinned over X1.
+    # The memo is keyed by the enumerator, the classifier and the marking
+    # permutations in use as well as the degree, so a patched or wrapped one
+    # (fault injection, tracing) never reads counts another one built.
+    return _census(d, enumerate_sublattices, classify_images, MARKING_PERMUTATIONS)
 
 
 @cache
-def _census(d, enumerate_fn, classify_fn):
-    return tuple(Counter(classify_fn(lat) for lat in enumerate_fn(d)).items())
+def _census(d, enumerate_fn, classify_fn, markings):
+    # Sublattices with the same image triple (one per parity class, at most
+    # eight) carry the same covers, so each class is expanded once.
+    covers = Counter()
+    for img, lattices in Counter(classify_fn(lat) for lat in enumerate_fn(d)).items():
+        for tau in markings:
+            covers[OrbiPoint.X1, img[tau[0] - 2], img[tau[1] - 2], img[tau[2] - 2]] += lattices
+    return dict(covers)
 
 
 def correlator(ins, d: int) -> int:
@@ -128,22 +133,16 @@ def correlator(ins, d: int) -> int:
 
     Covers are pairs (sublattice, reordering of the three free corners); the
     pair matches when the reordered images of X2, X3, X4 agree with the last
-    three insertions position by position.  Sublattices with the same image
-    triple match together, so the count is read off the degree's census.
+    three insertions position by position.  The count is translation
+    invariant, so it is read off the degree's census at the tuple translated
+    to start at X1.
 
     >>> correlator((1, 2, 3, 4), 3)
     4
     """
-    if d < 1:
-        raise ValueError(f"need d >= 1, got {d}")
-    ins = _x1_first(_as_points(ins))
-    target = ins[1:]
-    return sum(
-        lattices
-        for img, lattices in _image_census(d)
-        for tau in MARKING_PERMUTATIONS
-        if (img[tau[0] - 2], img[tau[1] - 2], img[tau[2] - 2]) == target
-    )
+    if type(d) is not int or d < 1:
+        raise ValueError(f"need an integer d >= 1, got {d!r}")
+    return _cover_census(d).get(_x1_first(_as_points(ins)), 0)
 
 
 def correlator_series(ins, trunc: int) -> QSeries:
@@ -162,6 +161,4 @@ def total_count_series(trunc: int) -> QSeries:
     """
     if trunc < 1:
         raise ValueError(f"need trunc >= 1, got {trunc}")
-    six = len(MARKING_PERMUTATIONS)
-    lattices = (sum(n for _, n in _image_census(d)) for d in range(1, trunc + 1))
-    return QSeries((0,) + tuple(six * n for n in lattices))
+    return QSeries((0,) + tuple(sum(_cover_census(d).values()) for d in range(1, trunc + 1)))

@@ -326,7 +326,7 @@ _FUZZ_OPTIONS = {
     "series": {"--which": _choice(*cli.SERIES_BUILDERS), "--max-degree": _degree},
     "correlators": {"--insertions": _choice("1,2,3,4", "2,2,3,3"), "--max-degree": _degree},
     "potential": {"--max-degree": _degree, "--compare-st": None},
-    "verify": {"--suite": _choice(*cli.VERIFY_SUITES), "--max-degree": _degree},
+    "verify": {"--suite": _choice(*cli.VERIFY_SUITES, "all"), "--max-degree": _degree},
 }
 _FUZZ_COMMON = {"--degree-cap": _degree, "--format": _choice("pretty", "csv", "json")}
 
@@ -368,6 +368,27 @@ def test_color_only_with_env_flag(capsys, monkeypatch):
     monkeypatch.setenv("CLI_COLOR", "1")
     _, colored, _ = _run(capsys, ["verify", "--suite", "oracle", "--max-degree", "3"])
     assert "\x1b[32m" in colored
+
+
+def test_mismatch_is_colored_only_in_pretty_output(capsys, monkeypatch):
+    real = potential.st_reference_potential
+
+    def perturbed(trunc):
+        p = real(trunc)
+        mono = potential.Monomial((0, 1, 1, 1, 1))
+        coeffs = list(p.terms[mono].coeffs)
+        coeffs[1] += 1
+        terms = {**p.terms, mono: qseries.QSeries(tuple(coeffs))}
+        return potential.Potential(p.log_term, terms, p.trunc)
+
+    monkeypatch.setattr(potential, "st_reference_potential", perturbed)
+    monkeypatch.setenv("CLI_COLOR", "1")
+    argv = ["potential", "--max-degree", "4", "--compare-st", "--format"]
+    for fmt in ("csv", "json"):
+        code, out, _ = _run(capsys, argv + [fmt])
+        assert code == 1 and "\x1b[" not in out, fmt
+    code, out, _ = _run(capsys, argv + ["pretty"])
+    assert code == 1 and out.startswith("\x1b[31mMISMATCH\x1b[0m ")
 
 
 def test_module_entry_point():

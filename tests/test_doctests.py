@@ -1,9 +1,16 @@
 import doctest
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 from pillowcase import lattice, orbi, qseries
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def test_module_doctests():
@@ -17,3 +24,13 @@ def test_readme_quickstart():
     result = doctest.testfile(str(README), module_relative=False)
     assert result.attempted > 0
     assert result.failed == 0
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
+def test_demo_runs(demo):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, str(demo)], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip()

@@ -204,6 +204,12 @@ def test_hnf_lattice_validation():
         HnfLattice(2, 0, 0)
 
 
+@pytest.mark.parametrize("fields", [(2.5, 0, 1), (True, 0, True), (2, 0.0, 1)])
+def test_hnf_lattice_refuses_non_integer_fields(fields):
+    with pytest.raises(ValueError):
+        HnfLattice(*fields)
+
+
 def test_hnf_lattice_json_round_trip():
     lat = HnfLattice(4, 3, 2)
     assert HnfLattice.from_json(lat.to_json()) == lat

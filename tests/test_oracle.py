@@ -74,6 +74,8 @@ def test_image_table_check_passes():
 def test_image_table_check_rejects_bad_range():
     with pytest.raises(ValueError):
         image_table_check(0)
+    with pytest.raises(ValueError):
+        image_table_check(oracle.PARITY_EXHAUSTIVE_MAX + 1)
 
 
 def _swap_x3_x4(images):

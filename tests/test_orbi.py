@@ -98,6 +98,13 @@ def test_correlator_input_validation():
         correlator_series((X1, X2, X3, X4), 0)
 
 
+@pytest.mark.parametrize("d", [True, 1.0])
+def test_correlator_refuses_non_integer_degree(d):
+    assert correlator((X1, X2, X3, X4), 1) == 1  # the d = 1 census is built
+    with pytest.raises(ValueError):
+        correlator((X1, X2, X3, X4), d)
+
+
 @pytest.fixture(scope="module")
 def count_table():
     # every ordered insertion tuple at every degree up to 30
