@@ -14,6 +14,14 @@ from dataclasses import dataclass
 from math import gcd
 
 
+def _need_int(name: str, value, minimum: int) -> int:
+    # The one integer rule of the exact core: a plain int >= minimum passes
+    # through; a bool, a float or anything else is refused, never coerced.
+    if type(value) is not int or value < minimum:
+        raise ValueError(f"need an integer {name} >= {minimum}, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class Basis2:
     """Ordered pair of integer vectors, coordinates taken in {1, sqrt(-1)}."""
@@ -31,13 +39,10 @@ class HnfLattice:
     g: int
 
     def __post_init__(self) -> None:
-        # Plain ints only: a float or a bool is refused rather than coerced.
-        if not (type(self.h) is type(self.m) is type(self.g) is int):
-            raise ValueError(f"h, m, g must be integers, got {self.h!r}, {self.m!r}, {self.g!r}")
-        if self.h < 1 or self.g < 1:
-            raise ValueError(f"need h >= 1 and g >= 1, got h={self.h}, g={self.g}")
-        if not 0 <= self.m < self.h:
-            raise ValueError(f"need 0 <= m < h, got m={self.m}, h={self.h}")
+        _need_int("h", self.h, 1)
+        _need_int("g", self.g, 1)
+        if _need_int("m", self.m, 0) >= self.h:
+            raise ValueError(f"need m < h, got m={self.m}, h={self.h}")
 
     @property
     def d(self) -> int:
@@ -48,13 +53,6 @@ class HnfLattice:
 
     def to_json(self) -> dict:
         return {"h": self.h, "m": self.m, "g": self.g, "d": self.d}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "HnfLattice":
-        lat = cls(obj.get("h"), obj.get("m"), obj.get("g"))
-        if "d" in obj and (type(obj["d"]) is not int or obj["d"] != lat.d):
-            raise ValueError(f"field 'd' must be the integer h*g = {lat.d}, got {obj['d']!r}")
-        return lat
 
 
 def det(basis: Basis2) -> int:
@@ -95,8 +93,7 @@ def hnf_reduce(basis: Basis2) -> HnfLattice:
 
 
 def divisors(d: int) -> list[int]:
-    if d < 1:
-        raise ValueError(f"need d >= 1, got {d}")
+    _need_int("d", d, 1)
     return [k for k in range(1, d + 1) if d % k == 0]
 
 
@@ -115,6 +112,4 @@ def enumerate_sublattices(d: int) -> list[HnfLattice]:
     For each divisor h of d there are exactly h triples (h, 0..h-1, d/h),
     so the total count is sigma1(d).
     """
-    if d < 1:
-        raise ValueError(f"need d >= 1, got {d}")
     return [HnfLattice(h, m, d // h) for h in divisors(d) for m in range(h)]

@@ -43,6 +43,14 @@ class CheckResult:
         return self.ok
 
 
+def _need_degree(d, limit: int | None = None) -> None:
+    # Plain ints only: a bool would pass for 1 and a float fail inside range().
+    # Local on purpose, so the oracle never leans on the code it checks.
+    if type(d) is not int or d < 1 or (limit is not None and d > limit):
+        bound = "d >= 1" if limit is None else f"1 <= d <= {limit}"
+        raise ValueError(f"need an integer {bound}, got {d!r}")
+
+
 def _divisor_sum(n: int) -> int:
     return sum(k for k in range(1, n + 1) if n % k == 0)
 
@@ -73,8 +81,7 @@ def sl2_orbit_count(d: int) -> int:
     matrices contains exactly one reduced form, and that form has entries in
     [0, d], so the box misses no orbit.
     """
-    if not 1 <= d <= SL2_EXHAUSTIVE_MAX:
-        raise ValueError(f"exhaustive census covers 1 <= d <= {SL2_EXHAUSTIVE_MAX}, got {d}")
+    _need_degree(d, SL2_EXHAUSTIVE_MAX)
     span = range(-d, d + 1)
     forms = set()
     for alpha, beta, gamma, delta in product(span, repeat=4):
@@ -85,8 +92,7 @@ def sl2_orbit_count(d: int) -> int:
 
 def orbit_agreement_check(dmax: int) -> CheckResult:
     """Three routes to one number: orbit census, divisor sum, enumeration."""
-    if not 1 <= dmax <= SL2_EXHAUSTIVE_MAX:
-        raise ValueError(f"exhaustive census covers 1 <= d <= {SL2_EXHAUSTIVE_MAX}, got {dmax}")
+    _need_degree(dmax, SL2_EXHAUSTIVE_MAX)
     from .lattice import enumerate_sublattices, sigma1
 
     for d in range(1, dmax + 1):
@@ -146,8 +152,7 @@ def image_table_check(dmax: int) -> CheckResult:
     square and the fractional parts name the corner.  The result must agree
     with both the parity table above and the main classification.
     """
-    if not 1 <= dmax <= PARITY_EXHAUSTIVE_MAX:
-        raise ValueError(f"exhaustive census covers 1 <= d <= {PARITY_EXHAUSTIVE_MAX}, got {dmax}")
+    _need_degree(dmax, PARITY_EXHAUSTIVE_MAX)
     half = Fraction(1, 2)
     lattices = 0
     for d in range(1, dmax + 1):
@@ -203,8 +208,7 @@ def correlator_crosscheck(dmax: int) -> CheckResult:
     Covers every insertion class (all 35 multisets over the four corners,
     the translation-only ones included) at every degree up to dmax.
     """
-    if dmax < 1:
-        raise ValueError(f"need dmax >= 1, got {dmax}")
+    _need_degree(dmax)
     checked = 0
     for d in range(1, dmax + 1):
         for ins in combinations_with_replacement(tuple(OrbiPoint), 4):
@@ -232,8 +236,7 @@ def lumpsum_check(dmax: int) -> CheckResult:
     reproduce six covers per sublattice, i.e. 6*sigma_1(d); the total-count
     series must say the same thing.
     """
-    if dmax < 1:
-        raise ValueError(f"need dmax >= 1, got {dmax}")
+    _need_degree(dmax)
     totals = orbi.total_count_series(dmax)
     for d in range(1, dmax + 1):
         split = sum(
@@ -297,8 +300,7 @@ def rh_uniqueness_check(d: int) -> CheckResult:
     The check passes when every admissible profile is the unramified one
     (all marked orders 1, all other preimages simple).
     """
-    if not 1 <= d <= RH_EXHAUSTIVE_MAX:
-        raise ValueError(f"exhaustive census covers 1 <= d <= {RH_EXHAUSTIVE_MAX}, got {d}")
+    _need_degree(d, RH_EXHAUSTIVE_MAX)
     by_size = {n: _fiber_solutions(n, d) for n in range(5)}
     solutions = 0
     for assignment in product(range(4), repeat=4):

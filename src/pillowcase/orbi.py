@@ -20,7 +20,7 @@ from enum import IntEnum
 from functools import cache
 from itertools import permutations
 
-from .lattice import HnfLattice, enumerate_sublattices
+from .lattice import HnfLattice, _need_int, enumerate_sublattices
 from .qseries import QSeries
 
 
@@ -94,11 +94,16 @@ def classify_images(lat: HnfLattice) -> tuple[OrbiPoint, OrbiPoint, OrbiPoint]:
     return (POINT_BY_COSET[c2], POINT_BY_COSET[c3], POINT_BY_COSET[c4])
 
 
+_POINT_BY_LABEL = {p.value: p for p in OrbiPoint}
+
+
 def _as_points(ins) -> InsertionTuple:
-    pts = tuple(OrbiPoint(p) for p in ins)
-    if len(pts) != 4:
-        raise ValueError(f"need exactly 4 insertion points, got {len(pts)}")
-    return pts
+    # OrbiPoint members or plain ints 1..4: a bool or a float is refused, not
+    # read as the corner it equals.
+    pts = tuple(ins)
+    if len(pts) != 4 or not all(type(p) in (int, OrbiPoint) and p in _POINT_BY_LABEL for p in pts):
+        raise ValueError(f"need 4 insertion points, each an OrbiPoint or an int 1..4, got {pts!r}")
+    return tuple(_POINT_BY_LABEL[p] for p in pts)
 
 
 def _x1_first(ins: InsertionTuple) -> InsertionTuple:
@@ -140,15 +145,12 @@ def correlator(ins, d: int) -> int:
     >>> correlator((1, 2, 3, 4), 3)
     4
     """
-    if type(d) is not int or d < 1:
-        raise ValueError(f"need an integer d >= 1, got {d!r}")
-    return _cover_census(d).get(_x1_first(_as_points(ins)), 0)
+    return _cover_census(_need_int("d", d, 1)).get(_x1_first(_as_points(ins)), 0)
 
 
 def correlator_series(ins, trunc: int) -> QSeries:
     """Generating series sum_{d=1..N} correlator(ins, d) q^d."""
-    if trunc < 1:
-        raise ValueError(f"need trunc >= 1, got {trunc}")
+    _need_int("trunc", trunc, 1)
     ins = _as_points(ins)
     return QSeries((0,) + tuple(correlator(ins, d) for d in range(1, trunc + 1)))
 
@@ -159,6 +161,5 @@ def total_count_series(trunc: int) -> QSeries:
     Splitting the covers of degree d by their ordered corner images
     partitions this coefficient into the individual correlator values.
     """
-    if trunc < 1:
-        raise ValueError(f"need trunc >= 1, got {trunc}")
+    _need_int("trunc", trunc, 1)
     return QSeries((0,) + tuple(sum(_cover_census(d).values()) for d in range(1, trunc + 1)))

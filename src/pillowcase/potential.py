@@ -24,6 +24,7 @@ from itertools import combinations_with_replacement
 from math import factorial
 
 from . import orbi, qseries
+from .lattice import _need_int
 from .orbi import OrbiPoint
 from .qseries import QSeries, _as_fraction
 
@@ -35,8 +36,10 @@ class Monomial:
     exponents: tuple[int, int, int, int, int]
 
     def __post_init__(self) -> None:
-        if len(self.exponents) != 5 or any(type(e) is not int or e < 0 for e in self.exponents):
-            raise ValueError(f"need 5 non-negative int exponents, got {self.exponents}")
+        if len(self.exponents) != 5:
+            raise ValueError(f"need 5 exponents, got {self.exponents}")
+        for e in self.exponents:
+            _need_int("exponent", e, 0)
 
     def __str__(self) -> str:
         parts = []
@@ -61,6 +64,7 @@ class Potential:
     trunc: int
 
     def __post_init__(self) -> None:
+        _need_int("trunc", self.trunc, 0)
         kept = {
             mono: series
             for mono, series in self.terms.items()
@@ -91,8 +95,7 @@ def assemble_potential(trunc: int) -> Potential:
     each t_j^4 (the constant-map quartic term), which lands as -1/96 on the
     monomial.
     """
-    if trunc < 1:
-        raise ValueError(f"need trunc >= 1, got {trunc}")
+    _need_int("trunc", trunc, 1)
     terms: dict[Monomial, QSeries] = {}
     pair_constant = Fraction(3, factorial(3)) * Fraction(1, 2)  # = 1/4
     for j in range(1, 5):
@@ -111,8 +114,7 @@ def assemble_potential(trunc: int) -> Potential:
 
 def st_reference_potential(trunc: int) -> Potential:
     """The closed form: f0 on t1*t2*t3*t4, f1/4 on each t_j^4, f2/6 on pairs."""
-    if trunc < 1:
-        raise ValueError(f"need trunc >= 1, got {trunc}")
+    _need_int("trunc", trunc, 1)
     terms = {_monomial(1, 2, 3, 4): qseries.f0_series(trunc)}
     quarter_f1 = qseries.scale(qseries.f1_series(trunc), Fraction(1, 4))
     sixth_f2 = qseries.scale(qseries.f2_series(trunc), Fraction(1, 6))
@@ -200,17 +202,3 @@ def potential_to_json(p: Potential) -> dict:
             for mono in sorted(p.terms)
         ],
     }
-
-
-def potential_from_json(obj: dict) -> Potential:
-    """Inverse of :func:`potential_to_json`; the log term must be a rational string."""
-    if type(obj["log_term"]) is not str:
-        raise ValueError(f"log_term must be a rational string, got {obj['log_term']!r}")
-    terms = {
-        Monomial(tuple(entry["monomial"])): qseries.from_json(entry["series"])
-        for entry in obj["terms"]
-    }
-    if not terms:
-        raise ValueError("a potential with no terms has no recoverable truncation")
-    trunc = next(iter(terms.values())).trunc
-    return Potential(obj["log_term"], terms, trunc)

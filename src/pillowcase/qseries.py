@@ -1,10 +1,10 @@
 """Truncated power series in q with exact rational coefficients.
 
 A :class:`QSeries` stores coefficients c_0..c_N as `fractions.Fraction`; only
-its constructor converts them (ints, rational strings) or rejects them (floats,
-bools).  Truncation is part of the value: arithmetic carries trunc = min of
-the operand truncations, and reading a coefficient beyond the truncation is
-an error rather than a silent zero.  No floating point enters anywhere.
+its constructor converts them (plain ints) or refuses them (anything else).
+Truncation is part of the value: arithmetic carries trunc = min of the
+operand truncations, and reading a coefficient beyond the truncation is an
+error rather than a silent zero.  No floating point enters anywhere.
 
 The series of interest are built from the divisor sum sigma_1:
 
@@ -19,17 +19,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .lattice import sigma1
+from .lattice import _need_int, sigma1
 
 Rational = Fraction | int
 
 
 def _as_fraction(value) -> Fraction:
+    # Int or Fraction only: a float or a bool is inexact or ambiguous, and no
+    # producer in the core makes a rational string or a Decimal.
     if type(value) is Fraction:
         return value
-    if isinstance(value, (float, bool)):
-        raise TypeError(f"{type(value).__name__} values are not allowed, got {value!r}")
-    return Fraction(value)
+    if type(value) is int:
+        return Fraction(value)
+    raise TypeError(f"need an int or a Fraction, got {type(value).__name__} {value!r}")
 
 
 @dataclass(frozen=True)
@@ -62,9 +64,7 @@ def zero_series(trunc: int) -> QSeries:
 
 
 def constant_series(value: Rational, trunc: int) -> QSeries:
-    if trunc < 0:
-        raise ValueError(f"need trunc >= 0, got {trunc}")
-    return QSeries((value,) + (0,) * trunc)
+    return QSeries((value,) + (0,) * _need_int("trunc", trunc, 0))
 
 
 def coefficient(a: QSeries, d: int) -> Fraction:
@@ -73,7 +73,7 @@ def coefficient(a: QSeries, d: int) -> Fraction:
     >>> coefficient(f_series(6), 6)
     Fraction(12, 1)
     """
-    if not 0 <= d <= a.trunc:
+    if _need_int("d", d, 0) > a.trunc:
         raise ValueError(f"degree {d} outside truncation 0..{a.trunc}")
     return a.coeffs[d]
 
@@ -110,8 +110,7 @@ def substitute_power(a: QSeries, k: int) -> QSeries:
     >>> substitute_power(f_series(4), 4).coeffs
     (Fraction(-1, 24), Fraction(0, 1), Fraction(0, 1), Fraction(0, 1), Fraction(1, 1))
     """
-    if k < 1:
-        raise ValueError(f"need k >= 1, got {k}")
+    _need_int("k", k, 1)
     n = a.trunc
     out = [0] * (n + 1)
     for j in range(0, n + 1, k):
@@ -131,8 +130,7 @@ def negate_variable(a: QSeries) -> QSeries:
 
 def divisor_series(trunc: int) -> QSeries:
     """sum_{d>=1} sigma_1(d) q^d, zero constant term."""
-    if trunc < 0:
-        raise ValueError(f"need trunc >= 0, got {trunc}")
+    _need_int("trunc", trunc, 0)
     return QSeries((0,) + tuple(sigma1(d) for d in range(1, trunc + 1)))
 
 
@@ -175,14 +173,3 @@ def f2_series(trunc: int) -> QSeries:
 def to_json(a: QSeries) -> dict:
     """{"trunc": N, "coeffs": ["p/q", ...]} with exact rational strings."""
     return {"trunc": a.trunc, "coeffs": [str(c) for c in a.coeffs]}
-
-
-def from_json(obj: dict) -> QSeries:
-    """Inverse of :func:`to_json`; coefficients must be strings, trunc a plain int."""
-    coeffs = obj["coeffs"]
-    if not isinstance(coeffs, list) or not all(type(c) is str for c in coeffs):
-        raise ValueError(f"coefficients must be a list of rational strings, got {coeffs!r}")
-    series = QSeries(tuple(coeffs))
-    if "trunc" in obj and (type(obj["trunc"]) is not int or obj["trunc"] != series.trunc):
-        raise ValueError(f"trunc {obj['trunc']!r} does not match {len(coeffs)} coefficients")
-    return series

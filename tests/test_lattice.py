@@ -208,28 +208,3 @@ def test_hnf_lattice_validation():
 def test_hnf_lattice_refuses_non_integer_fields(fields):
     with pytest.raises(ValueError):
         HnfLattice(*fields)
-
-
-def test_hnf_lattice_json_round_trip():
-    lat = HnfLattice(4, 3, 2)
-    assert HnfLattice.from_json(lat.to_json()) == lat
-    with pytest.raises(ValueError):
-        HnfLattice.from_json({"h": 4, "m": 3, "g": 2, "d": 9})
-
-
-@pytest.mark.parametrize(
-    "obj",
-    [
-        {"h": 2, "m": 1, "g": 2.9},
-        {"h": 2, "m": 1, "g": 2.0},
-        {"h": True, "m": 0, "g": 1},
-        {"h": "3", "m": 1, "g": 1},
-        {"h": 2, "m": None, "g": 1},
-        {"h": 2, "g": 1},
-        {"h": 2, "m": 1, "g": 1, "d": "2"},
-        {"h": 2, "m": 1, "g": 1, "d": 2.0},
-    ],
-)
-def test_hnf_lattice_from_json_refuses_non_integer_fields(obj):
-    with pytest.raises(ValueError):
-        HnfLattice.from_json(obj)

@@ -17,6 +17,10 @@ from pillowcase.orbi import OrbiPoint
 
 X1, X2, X3, X4 = OrbiPoint
 
+# A bool is an int that equals 1 and a float would only fail inside range():
+# every entry check refuses both as it refuses a degree out of range.
+NOT_INTS = (True, 2.0)
+
 
 # ---------------------------------------------------------------------------
 # matrix orbit census
@@ -35,17 +39,17 @@ def test_sl2_orbit_count_matches_divisor_sum():
 
 
 def test_sl2_orbit_count_range():
-    with pytest.raises(ValueError):
-        sl2_orbit_count(0)
-    with pytest.raises(ValueError):
-        sl2_orbit_count(oracle.SL2_EXHAUSTIVE_MAX + 1)
+    for d in (0, oracle.SL2_EXHAUSTIVE_MAX + 1, *NOT_INTS):
+        with pytest.raises(ValueError):
+            sl2_orbit_count(d)
 
 
 def test_orbit_agreement_check():
     result = orbit_agreement_check(8)
     assert result.ok
-    with pytest.raises(ValueError):
-        orbit_agreement_check(13)
+    for dmax in (0, oracle.SL2_EXHAUSTIVE_MAX + 1, *NOT_INTS):
+        with pytest.raises(ValueError):
+            orbit_agreement_check(dmax)
 
 
 # ---------------------------------------------------------------------------
@@ -72,10 +76,9 @@ def test_image_table_check_passes():
 
 
 def test_image_table_check_rejects_bad_range():
-    with pytest.raises(ValueError):
-        image_table_check(0)
-    with pytest.raises(ValueError):
-        image_table_check(oracle.PARITY_EXHAUSTIVE_MAX + 1)
+    for dmax in (0, oracle.PARITY_EXHAUSTIVE_MAX + 1, *NOT_INTS):
+        with pytest.raises(ValueError):
+            image_table_check(dmax)
 
 
 def _swap_x3_x4(images):
@@ -124,8 +127,9 @@ def test_lumpsum_catches_dropped_reordering(monkeypatch):
 
 def test_check_range_validation():
     for check in (correlator_crosscheck, lumpsum_check):
-        with pytest.raises(ValueError):
-            check(0)
+        for dmax in (0, *NOT_INTS):
+            with pytest.raises(ValueError):
+                check(dmax)
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +152,6 @@ def test_rh_solution_counts():
 
 
 def test_rh_range():
-    with pytest.raises(ValueError):
-        rh_uniqueness_check(0)
-    with pytest.raises(ValueError):
-        rh_uniqueness_check(oracle.RH_EXHAUSTIVE_MAX + 1)
+    for d in (0, oracle.RH_EXHAUSTIVE_MAX + 1, *NOT_INTS):
+        with pytest.raises(ValueError):
+            rh_uniqueness_check(d)

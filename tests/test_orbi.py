@@ -93,9 +93,13 @@ def test_correlator_input_validation():
     with pytest.raises(ValueError):
         correlator((X1, X2, X3), 1)
     with pytest.raises(ValueError):
-        correlator((0, 2, 3, 4), 1)
-    with pytest.raises(ValueError):
         correlator_series((X1, X2, X3, X4), 0)
+    # True equals X1 and 4.0 equals X4, but neither is a corner label.
+    for ins in ((0, 2, 3, 4), (True, 2, 3, 4), (1, 2, 3, 4.0), (X1, X2, X3, False)):
+        with pytest.raises(ValueError):
+            correlator(ins, 3)
+        with pytest.raises(ValueError):
+            correlator_series(ins, 3)
 
 
 @pytest.mark.parametrize("d", [True, 1.0])
