@@ -41,15 +41,15 @@ def _rh_check(n: int) -> oracle.CheckResult:
     return oracle.CheckResult(True, "rh", details={"degrees": n, "solutions": solutions})
 
 
-# verify's suites in run order: the largest degree each covers exhaustively
-# (None: any degree) and its check over d = 1..n.  A check is looked up on
-# `oracle` when it runs, so a patched or wrapped one is the one that runs.
+# verify's suites in run order: the largest degree each covers and its check
+# over d = 1..n.  A check is looked up on `oracle` when it runs, so a patched
+# or wrapped one is the one that runs.
 VERIFY_SUITES = {
     "oracle": (oracle.SL2_EXHAUSTIVE_MAX, lambda n: oracle.orbit_agreement_check(n)),
     "parity": (oracle.PARITY_EXHAUSTIVE_MAX, lambda n: oracle.image_table_check(n)),
     "rh": (oracle.RH_EXHAUSTIVE_MAX, _rh_check),
-    "lumpsum": (None, lambda n: oracle.lumpsum_check(n)),
-    "closedform": (None, lambda n: oracle.correlator_crosscheck(n)),
+    "lumpsum": (oracle.DIVISOR_SUM_MAX, lambda n: oracle.lumpsum_check(n)),
+    "closedform": (oracle.DIVISOR_SUM_MAX, lambda n: oracle.correlator_crosscheck(n)),
 }
 
 
@@ -64,9 +64,13 @@ def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True)
 
 
-def _usage_error(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return 2
+def _print_coeffs(series, fmt: str, header: str, first: int) -> None:
+    # The csv and pretty rows of a series from q^first on; json is per subcommand.
+    if fmt == "pretty":
+        print(header)
+    for deg in range(first, series.trunc + 1):
+        c = series.coeffs[deg]
+        print(f"{deg},{c}" if fmt == "csv" else f"q^{deg}: {c}")
 
 
 # ---------------------------------------------------------------------------
@@ -88,14 +92,12 @@ def cmd_sublattices(args) -> int:
                 }
             )
         )
-    elif args.format == "csv":
-        for lat in lats:
-            print(f"{lat.h},{lat.m},{lat.g},{lat.d}")
-        print(f"count={len(lats)} sigma1={s1}")
     else:
-        print("h m g d")
+        sep = "," if args.format == "csv" else " "
+        if args.format == "pretty":
+            print("h m g d")
         for lat in lats:
-            print(f"{lat.h} {lat.m} {lat.g} {lat.d}")
+            print(sep.join(str(v) for v in (lat.h, lat.m, lat.g, lat.d)))
         print(f"count={len(lats)} sigma1={s1}")
     return 0
 
@@ -104,51 +106,22 @@ def cmd_series(args) -> int:
     series = SERIES_BUILDERS[args.which](args.max_degree)
     if args.format == "json":
         print(_dump(qseries.to_json(series)))
-    elif args.format == "csv":
-        for deg, c in enumerate(series.coeffs):
-            print(f"{deg},{c}")
     else:
-        print(f"{args.which}, truncated at q^{series.trunc}")
-        for deg, c in enumerate(series.coeffs):
-            print(f"q^{deg}: {c}")
+        _print_coeffs(series, args.format, f"{args.which}, truncated at q^{series.trunc}", 0)
     return 0
 
 
-def _parse_insertions(text: str):
-    parts = text.split(",")
-    if len(parts) != 4:
-        raise ValueError(f"need exactly 4 comma-separated points, got {text!r}")
-    values = []
-    for part in parts:
-        try:
-            values.append(int(part))
-        except ValueError:
-            raise ValueError(f"insertion {part!r} is not an integer") from None
-    if any(not 1 <= v <= 4 for v in values):
-        raise ValueError(f"insertions must lie in 1..4, got {text!r}")
-    return tuple(orbi.OrbiPoint(v) for v in values)
-
-
 def cmd_correlators(args) -> int:
-    try:
-        ins = _parse_insertions(args.insertions)
-    except ValueError as exc:
-        return _usage_error(str(exc))
-    series = orbi.correlator_series(ins, args.max_degree)
-    labels = [int(p) for p in ins]
+    series = orbi.correlator_series(args.insertions, args.max_degree)
+    labels = [int(p) for p in args.insertions]
     if args.format == "json":
         records = [
             {"insertions": labels, "degree": d, "count": int(series.coeffs[d])}
             for d in range(1, series.trunc + 1)
         ]
         print(_dump(records))
-    elif args.format == "csv":
-        for d in range(1, series.trunc + 1):
-            print(f"{d},{series.coeffs[d]}")
     else:
-        print("insertions: " + ",".join(str(v) for v in labels))
-        for d in range(1, series.trunc + 1):
-            print(f"q^{d}: {series.coeffs[d]}")
+        _print_coeffs(series, args.format, "insertions: " + ",".join(str(v) for v in labels), 1)
     return 0
 
 
@@ -193,20 +166,13 @@ def _diff_json(diff) -> dict:
 
 def cmd_verify(args) -> int:
     suites = VERIFY_SUITES if args.suite == "all" else {args.suite: VERIFY_SUITES[args.suite]}
-    results = []
+    records = []
     for suite, (limit, check) in suites.items():
-        n = args.max_degree if limit is None else min(args.max_degree, limit)
+        n = min(args.max_degree, limit)
         label = f"{suite} (d <= {n})"
         result = check(n)
-        results.append((label, result))
-        if args.format == "pretty":
-            if result.ok:
-                print(f"{_color('PASS', '32', args.format)} {label}")
-            else:
-                print(f"{_color('FAIL', '31', args.format)} {label}")
-                print(_dump(result.counterexample))
-    if args.format == "json":
-        records = [
+        verdict = "PASS" if result.ok else "FAIL"
+        records.append(
             {
                 "suite": result.name,
                 "label": label,
@@ -214,13 +180,16 @@ def cmd_verify(args) -> int:
                 "details": result.details,
                 "counterexample": result.counterexample,
             }
-            for label, result in results
-        ]
+        )
+        if args.format == "csv":
+            print(f"{label},{verdict}")
+        elif args.format == "pretty":
+            print(f"{_color(verdict, '32' if result.ok else '31', args.format)} {label}")
+            if not result.ok:
+                print(_dump(result.counterexample))
+    if args.format == "json":
         print(_dump(records))
-    elif args.format == "csv":
-        for label, result in results:
-            print(f"{label},{'PASS' if result.ok else 'FAIL'}")
-    return 0 if all(result.ok for _, result in results) else 1
+    return 0 if all(record["ok"] for record in records) else 1
 
 
 # ---------------------------------------------------------------------------
@@ -233,6 +202,15 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         self.exit(2, f"error: {message}\n")
+
+
+def _insertions(text: str) -> orbi.InsertionTuple:
+    # argparse type of --insertions: the core's label rule decides what a corner is.
+    try:
+        return orbi._as_points(int(part) for part in text.split(","))
+    except ValueError:
+        message = f"need 4 comma-separated insertions 1..4, got {text!r}"
+        raise argparse.ArgumentTypeError(message) from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -264,7 +242,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=cmd_series)
 
     p = sub.add_parser("correlators", help="four-point counts for one insertion tuple")
-    p.add_argument("--insertions", required=True, metavar="I,J,K,L")
+    p.add_argument("--insertions", type=_insertions, required=True, metavar="I,J,K,L")
     add_degree(p, "--max-degree", default=DEFAULT_TRUNC)
     add_format(p)
     p.set_defaults(run=cmd_correlators)
@@ -292,14 +270,14 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        flag = args.degree_option.option_strings[0]
+        degree = getattr(args, args.degree_option.dest)
+        if degree < args.degree_minimum:
+            parser.error(f"{flag} must be >= {args.degree_minimum}, got {degree}")
+        if degree > args.degree_cap:
+            parser.error(f"{flag} {degree} exceeds the cap {args.degree_cap}; raise --degree-cap")
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    flag = args.degree_option.option_strings[0]
-    degree = getattr(args, args.degree_option.dest)
-    if degree < args.degree_minimum:
-        return _usage_error(f"{flag} must be >= {args.degree_minimum}, got {degree}")
-    if degree > args.degree_cap:
-        return _usage_error(f"{flag} {degree} exceeds the cap {args.degree_cap}; raise --degree-cap")
     return args.run(args)
 
 

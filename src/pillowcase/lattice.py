@@ -14,11 +14,12 @@ from dataclasses import dataclass
 from math import gcd
 
 
-def _need_int(name: str, value, minimum: int) -> int:
-    # The one integer rule of the exact core: a plain int >= minimum passes
-    # through; a bool, a float or anything else is refused, never coerced.
-    if type(value) is not int or value < minimum:
-        raise ValueError(f"need an integer {name} >= {minimum}, got {value!r}")
+def _need_int(name: str, value, minimum: int | None = None) -> int:
+    # The one integer rule of the exact core: a plain int (>= minimum if given)
+    # passes through; a bool, a float or anything else is refused, never coerced.
+    if type(value) is not int or (minimum is not None and value < minimum):
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise ValueError(f"need an integer {name}{bound}, got {value!r}")
     return value
 
 
@@ -28,6 +29,13 @@ class Basis2:
 
     v1: tuple[int, int]
     v2: tuple[int, int]
+
+    def __post_init__(self) -> None:
+        for name, vector in (("v1", self.v1), ("v2", self.v2)):
+            if type(vector) is not tuple or len(vector) != 2:
+                raise ValueError(f"need a pair of integers {name}, got {vector!r}")
+            for entry in vector:
+                _need_int(f"{name} entry", entry)
 
 
 @dataclass(frozen=True, order=True)

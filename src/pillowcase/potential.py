@@ -65,16 +65,16 @@ class Potential:
 
     def __post_init__(self) -> None:
         _need_int("trunc", self.trunc, 0)
+        for series in self.terms.values():
+            if series.trunc != self.trunc:
+                raise ValueError(
+                    f"series truncation {series.trunc} does not match potential {self.trunc}"
+                )
         kept = {
             mono: series
             for mono, series in self.terms.items()
             if any(c != 0 for c in series.coeffs)
         }
-        for series in kept.values():
-            if series.trunc != self.trunc:
-                raise ValueError(
-                    f"series truncation {series.trunc} does not match potential {self.trunc}"
-                )
         object.__setattr__(self, "log_term", _as_fraction(self.log_term))
         object.__setattr__(self, "terms", kept)
 

@@ -222,22 +222,30 @@ def test_verify_rh_reports_every_degree(capsys):
     assert record["details"] == {"degrees": 2, "solutions": 24 + 36}
 
 
-def test_verify_parity_degree_is_clamped(capsys, monkeypatch):
+@pytest.mark.parametrize(
+    "suite, check, limit",
+    [
+        ("parity", "image_table_check", 400),
+        ("lumpsum", "lumpsum_check", 1000),
+        ("closedform", "correlator_crosscheck", 1000),
+    ],
+)
+def test_verify_degree_is_clamped(capsys, monkeypatch, suite, check, limit):
     # The suite is replaced by a recorder, so the clamp is checked without
     # walking every sublattice up to the cap.
     seen = []
 
     def fake_check(dmax):
         seen.append(dmax)
-        return oracle.CheckResult(True, "parity")
+        return oracle.CheckResult(True, suite)
 
-    monkeypatch.setattr(oracle, "image_table_check", fake_check)
+    monkeypatch.setattr(oracle, check, fake_check)
     code, out, _ = _run(
-        capsys, ["verify", "--suite", "parity", "--max-degree", "10000", "--format", "csv"]
+        capsys, ["verify", "--suite", suite, "--max-degree", "10000", "--format", "csv"]
     )
     assert code == 0
-    assert out == "parity (d <= 400),PASS\n"
-    assert seen == [oracle.PARITY_EXHAUSTIVE_MAX] == [400]
+    assert out == f"{suite} (d <= {limit}),PASS\n"
+    assert seen == [cli.VERIFY_SUITES[suite][0]] == [limit]
 
 
 def test_verify_usage_errors(capsys):
@@ -300,6 +308,11 @@ def test_every_degree_has_a_lower_bound(capsys):
         ["verify", "--suite", "bogus"],
         ["potential", "--format", "xml"],
         ["potential", "--bogus"],
+        ["correlators", "--insertions", "1,2,3"],
+        ["correlators", "--insertions", "1,2,3,a"],
+        ["correlators", "--insertions", "0,2,3,4"],
+        ["potential", "--max-degree", "0"],
+        ["sublattices", "--degree", "10001"],
     ],
 )
 def test_usage_error_is_one_line(capsys, argv):

@@ -70,6 +70,22 @@ def test_hnf_reduce_rejects_nonpositive_determinant():
         hnf_reduce(Basis2((0, 1), (1, 0)))  # determinant -1
 
 
+@pytest.mark.parametrize(
+    "v1, v2",
+    [
+        ((True, 0), (0, 2)),  # a bool is not read as 1
+        ((2, 0), (0, 1.5)),
+        ((2, 0), (0, 2.0)),
+        ((2, 0, 7), (0, 1)),
+        ((2, 0), (1,)),
+        ([2, 0], (0, 1)),
+    ],
+)
+def test_basis_refuses_non_integer_pairs(v1, v2):
+    with pytest.raises(ValueError):
+        Basis2(v1, v2)
+
+
 def test_hnf_reduce_zero_beta_column():
     # beta = 0 forces g = |delta|, and a negative delta still lands in 0 <= m < h
     assert hnf_reduce(Basis2((3, 0), (1, 2))) == HnfLattice(3, 1, 2)

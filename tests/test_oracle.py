@@ -127,7 +127,7 @@ def test_lumpsum_catches_dropped_reordering(monkeypatch):
 
 def test_check_range_validation():
     for check in (correlator_crosscheck, lumpsum_check):
-        for dmax in (0, *NOT_INTS):
+        for dmax in (0, oracle.DIVISOR_SUM_MAX + 1, *NOT_INTS):
             with pytest.raises(ValueError):
                 check(dmax)
 

@@ -115,6 +115,8 @@ def test_potential_validation():
         Monomial((0, 1.0, 1, 1, 1))
     with pytest.raises(ValueError):
         Potential(F(1), {_mono(0, 4, 0, 0, 0): QSeries((F(1), F(1)))}, 5)
+    with pytest.raises(ValueError):  # a zero series is checked before it is dropped
+        Potential(F(1), {_mono(0, 4, 0, 0, 0): QSeries((0,) * 6)}, 3)
 
 
 @pytest.mark.parametrize("log_term", [0.5, True, False, "1/2"])
