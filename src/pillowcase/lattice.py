@@ -11,7 +11,7 @@ divisor sum sigma_1(d).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, isqrt
 
 
 def _need_int(name: str, value, minimum: int | None = None) -> int:
@@ -101,8 +101,19 @@ def hnf_reduce(basis: Basis2) -> HnfLattice:
 
 
 def divisors(d: int) -> list[int]:
+    """Positive divisors of d in ascending order, each listed once.
+
+    Trial division up to isqrt(d) pairs every small divisor k with d // k, so
+    a call costs O(sqrt(d)).  The ascending order is part of the contract:
+    :func:`enumerate_sublattices` relies on it for its (h, m) ordering.
+
+    >>> divisors(36)
+    [1, 2, 3, 4, 6, 9, 12, 18, 36]
+    """
     _need_int("d", d, 1)
-    return [k for k in range(1, d + 1) if d % k == 0]
+    small = [k for k in range(1, isqrt(d) + 1) if d % k == 0]
+    large = [d // k for k in reversed(small) if k * k != d]
+    return small + large
 
 
 def sigma1(d: int) -> int:

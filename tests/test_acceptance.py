@@ -168,6 +168,23 @@ def test_criterion_9_fault_injection(capsys, monkeypatch):
         capsys.readouterr()
 
 
+def test_criterion_10_f2_series_at_large_degree(capsys):
+    with _criterion(10, "f2 from the CLI equals its closed form at 10^4", 5.0):
+        n = 10**4
+        sigma = [0] * (n + 1)
+        for k in range(1, n + 1):
+            for multiple in range(k, n + 1, k):
+                sigma[multiple] += k
+        # f2 = f - f0 - f1: sigma(d) on even d, less sigma(d/4) when 4 | d.
+        expected = [0] * (n + 1)
+        for d in range(2, n + 1, 2):
+            expected[d] = sigma[d] - (sigma[d // 4] if d % 4 == 0 else 0)
+        argv = ["series", "--which", "f2", "--max-degree", str(n), "--format", "json"]
+        assert cli.main(argv) == 0
+        out = capsys.readouterr().out
+        assert out == json.dumps({"coeffs": [str(c) for c in expected], "trunc": n}) + "\n"
+
+
 def test_acceptance_partition_identity_full_scale():
     # companion to criterion 5: the ordered counts themselves split the total
     with _criterion("5b", "ordered counts partition the total up to 100", 30.0):

@@ -209,6 +209,21 @@ def test_sigma1_small_values():
     assert [sigma1(d) for d in range(1, 9)] == [1, 3, 4, 7, 6, 12, 8, 15]
 
 
+def test_divisors_match_full_trial_division():
+    # Pins the ascending order and a square root listed once (9801 = 99^2).
+    for d in [*range(1, 3001), 9801, 9973, 10**4]:
+        assert divisors(d) == [k for k in range(1, d + 1) if d % k == 0]
+
+
+def test_sigma1_matches_a_divisor_sieve():
+    n = 10**4
+    sieve = [0] * (n + 1)
+    for k in range(1, n + 1):
+        for multiple in range(k, n + 1, k):
+            sieve[multiple] += k
+    assert [sigma1(d) for d in range(1, n + 1)] == sieve[1:]
+
+
 def test_hnf_lattice_validation():
     with pytest.raises(ValueError):
         HnfLattice(0, 0, 1)
