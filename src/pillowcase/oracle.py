@@ -53,8 +53,13 @@ def _need_degree(d, limit: int) -> None:
         raise ValueError(f"need an integer 1 <= d <= {limit}, got {d!r}")
 
 
-def _divisor_sum(n: int) -> int:
-    return sum(k for k in range(1, n + 1) if n % k == 0)
+def _divisor_sums(n: int) -> list[int]:
+    # sigma_1(k) for k = 0..n (0 at k = 0), one sieve: each k adds itself to its multiples.
+    sums = [0] * (n + 1)
+    for k in range(1, n + 1):
+        for multiple in range(k, n + 1, k):
+            sums[multiple] += k
+    return sums
 
 
 # ---------------------------------------------------------------------------
@@ -191,15 +196,16 @@ def image_table_check(dmax: int) -> CheckResult:
 # ---------------------------------------------------------------------------
 
 
-def _closed_form_count(ins, d: int):
+def _closed_form_count(ins, d: int, sigma: list[int]):
+    # sigma is a divisor-sum table reaching at least d.
     shape = sorted(tuple(ins).count(p) for p in set(ins))
     if shape == [1, 1, 1, 1]:
-        return _divisor_sum(d) if d % 2 else 0
+        return sigma[d] if d % 2 else 0
     if shape == [4]:
-        return 6 * _divisor_sum(d // 4) if d % 4 == 0 else 0
+        return 6 * sigma[d // 4] if d % 4 == 0 else 0
     if shape == [2, 2]:
-        even = _divisor_sum(d) if d % 2 == 0 else 0
-        quarter = _divisor_sum(d // 4) if d % 4 == 0 else 0
+        even = sigma[d] if d % 2 == 0 else 0
+        quarter = sigma[d // 4] if d % 4 == 0 else 0
         return Fraction(2, 3) * (even - quarter)
     return 0
 
@@ -211,10 +217,11 @@ def correlator_crosscheck(dmax: int) -> CheckResult:
     the translation-only ones included) at every degree up to dmax.
     """
     _need_degree(dmax, DIVISOR_SUM_MAX)
+    sigma = _divisor_sums(dmax)
     checked = 0
     for d in range(1, dmax + 1):
         for ins in combinations_with_replacement(tuple(OrbiPoint), 4):
-            expected = _closed_form_count(ins, d)
+            expected = _closed_form_count(ins, d, sigma)
             got = orbi.correlator(ins, d)
             checked += 1
             if got != expected:
@@ -240,12 +247,13 @@ def lumpsum_check(dmax: int) -> CheckResult:
     """
     _need_degree(dmax, DIVISOR_SUM_MAX)
     totals = orbi.total_count_series(dmax)
+    sigma = _divisor_sums(dmax)
     for d in range(1, dmax + 1):
         split = sum(
             orbi.correlator((OrbiPoint.X1,) + rest, d)
             for rest in product(tuple(OrbiPoint), repeat=3)
         )
-        expected = 6 * _divisor_sum(d)
+        expected = 6 * sigma[d]
         if split != expected or totals.coeffs[d] != expected:
             return CheckResult(
                 False,

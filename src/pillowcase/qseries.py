@@ -1,7 +1,14 @@
 """Truncated power series in q with exact rational coefficients.
 
-A :class:`QSeries` stores coefficients c_0..c_N as `fractions.Fraction`; only
-its constructor converts them (plain ints) or refuses them (anything else).
+A :class:`QSeries` stores c_0..c_N as plain-int numerators over one positive
+denominator, in lowest terms: gcd(den, num_0, ..., num_N) == 1, so equal
+series have equal fields and hash alike however they were built.  Arithmetic
+is integer arithmetic on the numerators followed by that one gcd; no
+coefficient is converted along the way.  `fractions.Fraction` appears only
+where a coefficient leaves this module: the `coeffs` tuple (built on first
+read and kept), :func:`coefficient` and :func:`to_json`.  The public
+constructor takes ints and Fractions and refuses anything else.
+
 Truncation is part of the value: arithmetic carries trunc = min of the
 operand truncations, and reading a coefficient beyond the truncation is an
 error rather than a silent zero.  No floating point enters anywhere.
@@ -16,38 +23,66 @@ The series of interest are built from the divisor sum sigma_1:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
+from operator import add as _int_add, sub as _int_sub
 
 from .lattice import _need_int, sigma1
 
 Rational = Fraction | int
 
 
-def _as_fraction(value) -> Fraction:
+def _ratio(value) -> tuple[int, int]:
     # Int or Fraction only: a float or a bool is inexact or ambiguous, and no
     # producer in the core makes a rational string or a Decimal.
-    if type(value) is Fraction:
-        return value
     if type(value) is int:
-        return Fraction(value)
+        return value, 1
+    if type(value) is Fraction:
+        return value.numerator, value.denominator
     raise TypeError(f"need an int or a Fraction, got {type(value).__name__} {value!r}")
 
 
-@dataclass(frozen=True)
+def _as_fraction(value) -> Fraction:
+    return Fraction(*_ratio(value))
+
+
 class QSeries:
-    """Coefficients (c_0, ..., c_N); the truncation N is len(coeffs) - 1."""
+    """Coefficients (c_0, ..., c_N); the truncation N is len(coeffs) - 1.
 
-    coeffs: tuple[Fraction, ...]
+    `QSeries(coeffs)` takes a nonempty sequence of ints and Fractions.
+    """
 
-    def __post_init__(self) -> None:
-        if len(self.coeffs) == 0:
+    __slots__ = ("_num", "_den", "_coeffs")
+
+    def __init__(self, coeffs) -> None:
+        if len(coeffs) == 0:
             raise ValueError("a series needs at least its constant coefficient")
-        object.__setattr__(self, "coeffs", tuple(_as_fraction(c) for c in self.coeffs))
+        pairs = [_ratio(c) for c in coeffs]
+        den = lcm(*(d for _, d in pairs))
+        _settle(self, [n * (den // d) for n, d in pairs], den)
 
     @property
     def trunc(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self._num) - 1
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients as Fractions, built on first read and kept."""
+        if self._coeffs is None:
+            den = self._den
+            self._coeffs = tuple(Fraction(n, den) for n in self._num)
+        return self._coeffs
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not QSeries:
+            return NotImplemented
+        return self._den == other._den and self._num == other._num
+
+    def __hash__(self) -> int:
+        return hash((self._num, self._den))
+
+    def __repr__(self) -> str:
+        return f"QSeries({self.coeffs!r})"
 
     def __add__(self, other: "QSeries") -> "QSeries":
         return add(self, other)
@@ -59,12 +94,31 @@ class QSeries:
         return mul(self, other)
 
 
+def _settle(s: QSeries, num, den: int) -> QSeries:
+    # Fill s with num / den reduced to lowest terms; den > 0.
+    num = tuple(num)
+    g = gcd(den, *num)
+    if g != 1:
+        num = tuple(n // g for n in num)
+        den //= g
+    s._num = num
+    s._den = den
+    s._coeffs = None
+    return s
+
+
+def _series(num, den: int = 1) -> QSeries:
+    # The series num / den from integer numerators, past the input check.
+    return _settle(object.__new__(QSeries), num, den)
+
+
 def zero_series(trunc: int) -> QSeries:
     return constant_series(0, trunc)
 
 
 def constant_series(value: Rational, trunc: int) -> QSeries:
-    return QSeries((value,) + (0,) * _need_int("trunc", trunc, 0))
+    n, d = _ratio(value)
+    return _series((n,) + (0,) * _need_int("trunc", trunc, 0), d)
 
 
 def coefficient(a: QSeries, d: int) -> Fraction:
@@ -75,33 +129,42 @@ def coefficient(a: QSeries, d: int) -> Fraction:
     """
     if _need_int("d", d, 0) > a.trunc:
         raise ValueError(f"degree {d} outside truncation 0..{a.trunc}")
-    return a.coeffs[d]
+    return Fraction(a._num[d], a._den)
+
+
+def _combine(op, a: QSeries, b: QSeries) -> QSeries:
+    # a op b for op in (+, -), over the common denominator lcm(a.den, b.den).
+    if a._den == b._den:
+        return _series(map(op, a._num, b._num), a._den)
+    den = lcm(a._den, b._den)
+    ka, kb = den // a._den, den // b._den
+    return _series([op(x * ka, y * kb) for x, y in zip(a._num, b._num)], den)
 
 
 def add(a: QSeries, b: QSeries) -> QSeries:
-    return QSeries(tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
+    return _combine(_int_add, a, b)
 
 
 def sub(a: QSeries, b: QSeries) -> QSeries:
-    return QSeries(tuple(x - y for x, y in zip(a.coeffs, b.coeffs)))
+    return _combine(_int_sub, a, b)
 
 
 def scale(a: QSeries, r: Rational) -> QSeries:
-    r = _as_fraction(r)
-    return QSeries(tuple(r * c for c in a.coeffs))
+    n, d = _ratio(r)
+    return _series([n * x for x in a._num], a._den * d)
 
 
 def mul(a: QSeries, b: QSeries) -> QSeries:
     """Cauchy product, truncated to the shorter operand."""
     n = min(a.trunc, b.trunc)
+    bn = b._num
     out = [0] * (n + 1)
-    for i in range(n + 1):
-        ai = a.coeffs[i]
+    for i, ai in enumerate(a._num[: n + 1]):
         if ai == 0:
             continue
         for j in range(n + 1 - i):
-            out[i + j] += ai * b.coeffs[j]
-    return QSeries(tuple(out))
+            out[i + j] += ai * bn[j]
+    return _series(out, a._den * b._den)
 
 
 def substitute_power(a: QSeries, k: int) -> QSeries:
@@ -113,14 +176,15 @@ def substitute_power(a: QSeries, k: int) -> QSeries:
     _need_int("k", k, 1)
     n = a.trunc
     out = [0] * (n + 1)
-    for j in range(0, n + 1, k):
-        out[j] = a.coeffs[j // k]
-    return QSeries(tuple(out))
+    out[::k] = a._num[: n // k + 1]
+    return _series(out, a._den)
 
 
 def negate_variable(a: QSeries) -> QSeries:
     """The series a(-q): odd coefficients flip sign."""
-    return QSeries(tuple(-c if i % 2 else c for i, c in enumerate(a.coeffs)))
+    out = list(a._num)
+    out[1::2] = [-c for c in out[1::2]]
+    return _series(out, a._den)
 
 
 # ---------------------------------------------------------------------------
@@ -131,17 +195,17 @@ def negate_variable(a: QSeries) -> QSeries:
 def divisor_series(trunc: int) -> QSeries:
     """sum_{d>=1} sigma_1(d) q^d, zero constant term."""
     _need_int("trunc", trunc, 0)
-    return QSeries((0,) + tuple(sigma1(d) for d in range(1, trunc + 1)))
+    return _series([0] + [sigma1(d) for d in range(1, trunc + 1)])
 
 
 def divisor_series_odd(trunc: int) -> QSeries:
     s = divisor_series(trunc)
-    return QSeries(tuple(c if i % 2 else 0 for i, c in enumerate(s.coeffs)))
+    return _series([c if i % 2 else 0 for i, c in enumerate(s._num)])
 
 
 def divisor_series_even(trunc: int) -> QSeries:
     s = divisor_series(trunc)
-    return QSeries(tuple(0 if i % 2 else c for i, c in enumerate(s.coeffs)))
+    return _series([0 if i % 2 else c for i, c in enumerate(s._num)])
 
 
 def f_series(trunc: int) -> QSeries:
@@ -171,5 +235,10 @@ def f2_series(trunc: int) -> QSeries:
 
 
 def to_json(a: QSeries) -> dict:
-    """{"trunc": N, "coeffs": ["p/q", ...]} with exact rational strings."""
-    return {"trunc": a.trunc, "coeffs": [str(c) for c in a.coeffs]}
+    """{"trunc": N, "coeffs": ["p/q", ...]} with exact rational strings, as str(Fraction)."""
+    den = a._den
+    coeffs = []
+    for n in a._num:
+        g = gcd(n, den)
+        coeffs.append(str(n // g) if g == den else f"{n // g}/{den // g}")
+    return {"trunc": a.trunc, "coeffs": coeffs}

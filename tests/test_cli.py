@@ -86,6 +86,39 @@ def test_series_json_matches_in_process(capsys):
         assert json.loads(out) == qseries.to_json(builder(9))
 
 
+def _closed_forms(n: int) -> dict[str, list]:
+    # Every named series from a divisor sieve of the test's own, as the strings
+    # str(Fraction) prints; the constant -1/24 of f and f1 is the one non-integer.
+    sigma = [0] * (n + 1)
+    for k in range(1, n + 1):
+        for multiple in range(k, n + 1, k):
+            sigma[multiple] += k
+    odd = [sigma[d] if d % 2 else 0 for d in range(n + 1)]
+    even = [0 if d % 2 else sigma[d] for d in range(n + 1)]
+    quarter = [0 if d % 4 else sigma[d // 4] for d in range(n + 1)]
+    forms = {
+        "f": ["-1/24"] + sigma[1:],
+        "f0": odd,
+        "f1": ["-1/24"] + quarter[1:],
+        "f2": [e - q for e, q in zip(even, quarter)],
+        "Dodd": odd,
+        "Deven": even,
+        "D4": quarter,
+    }
+    return {which: [str(c) for c in coeffs] for which, coeffs in forms.items()}
+
+
+def test_every_series_builder_matches_its_closed_form_at_2000(capsys):
+    n = 2000
+    forms = _closed_forms(n)
+    assert set(forms) == set(cli.SERIES_BUILDERS)
+    for which, coeffs in forms.items():
+        argv = ["series", "--which", which, "--max-degree", str(n), "--format", "json"]
+        code, out, _ = _run(capsys, argv)
+        assert code == 0
+        assert json.loads(out) == {"coeffs": coeffs, "trunc": n}, which
+
+
 def test_series_usage_errors(capsys):
     assert _run(capsys, ["series", "--which", "D", "--max-degree", "4"])[0] == 2
     assert _run(capsys, ["series", "--which", "f", "--max-degree", "-1"])[0] == 2

@@ -201,6 +201,36 @@ def test_ring_associativity_and_distributivity(a, b, c):
     assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
 
 
+@given(_series, _series, _fraction, st.integers(min_value=1, max_value=5))
+def test_arithmetic_matches_fraction_reference(a, b, r, k):
+    # Each operation against its definition, coefficient by coefficient in
+    # Fractions; equal values must also compare and hash equal.
+    n = min(a.trunc, b.trunc)
+    expected = [
+        (add(a, b), [x + y for x, y in zip(a.coeffs, b.coeffs)]),
+        (sub(a, b), [x - y for x, y in zip(a.coeffs, b.coeffs)]),
+        (scale(a, r), [r * x for x in a.coeffs]),
+        (mul(a, b), [_convolve(a, b, i) for i in range(n + 1)]),
+        (negate_variable(a), [-x if i % 2 else x for i, x in enumerate(a.coeffs)]),
+        (substitute_power(a, k), [F(0) if j % k else a.coeffs[j // k] for j in range(a.trunc + 1)]),
+    ]
+    for got, coeffs in expected:
+        assert list(got.coeffs) == coeffs
+        assert got == QSeries(tuple(coeffs))
+        assert hash(got) == hash(QSeries(tuple(coeffs)))
+    assert sub(a, a) == zero_series(a.trunc)
+    assert hash(sub(a, a)) == hash(zero_series(a.trunc))
+
+
+def test_equal_values_compare_equal_however_built():
+    assert scale(QSeries((2, 4)), F(1, 2)) == QSeries((1, 2))
+    assert scale(QSeries((F(1, 3), F(2, 3))), 3) == QSeries((1, 2))
+    assert add(constant_series(F(1, 2), 2), constant_series(F(1, 2), 2)) == constant_series(1, 2)
+    assert {QSeries((F(6, 4),)), QSeries((F(3, 2),))} == {scale(QSeries((3,)), F(1, 2))}
+    assert coefficient(scale(QSeries((2, 4)), F(1, 4)), 1) == 1
+    assert QSeries((1, 2)) != QSeries((1, 2, 0))
+
+
 @given(_series)
 def test_scale_matches_constant_multiplication(a):
     assert scale(a, F(3, 7)) == mul(a, constant_series(F(3, 7), a.trunc))
