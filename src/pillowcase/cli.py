@@ -68,8 +68,7 @@ def _print_coeffs(series, fmt: str, header: str, first: int) -> None:
     # The csv and pretty rows of a series from q^first on; json is per subcommand.
     if fmt == "pretty":
         print(header)
-    for deg in range(first, series.trunc + 1):
-        c = series.coeffs[deg]
+    for deg, c in enumerate(series.coeffs[first:], first):
         print(f"{deg},{c}" if fmt == "csv" else f"q^{deg}: {c}")
 
 
@@ -116,8 +115,8 @@ def cmd_correlators(args) -> int:
     labels = [int(p) for p in args.insertions]
     if args.format == "json":
         records = [
-            {"insertions": labels, "degree": d, "count": int(series.coeffs[d])}
-            for d in range(1, series.trunc + 1)
+            {"insertions": labels, "degree": d, "count": int(c)}
+            for d, c in enumerate(series.coeffs[1:], 1)
         ]
         print(_dump(records))
     else:
@@ -130,17 +129,16 @@ def cmd_potential(args) -> int:
     if args.compare_st:
         reference = potential.st_reference_potential(args.max_degree)
         diffs = potential.compare_potentials(assembled, reference)
-        if not diffs:
-            print(_color("MATCH", "32", args.format))
-            return 0
         if args.format == "json":
-            print(_dump({"match": False, "diffs": [_diff_json(diff) for diff in diffs]}))
+            print(_dump({"match": not diffs, "diffs": [_diff_json(diff) for diff in diffs]}))
+        elif not diffs:
+            print(_color("MATCH", "32", args.format))
         else:
             for diff in diffs:
                 where = "log_term" if diff.monomial is None else str(diff.monomial)
                 deg = "-" if diff.degree is None else f"q^{diff.degree}"
                 print(f"{_color('MISMATCH', '31', args.format)} {where} {deg}: {diff.lhs} != {diff.rhs}")
-        return 1
+        return 1 if diffs else 0
     if args.format == "json":
         print(_dump(potential.potential_to_json(assembled)))
     elif args.format == "csv":

@@ -81,6 +81,18 @@ def _reduce_columns(alpha: int, beta: int, gamma: int, delta: int) -> tuple[int,
     return alpha, gamma, delta
 
 
+def _orbit_representatives(d: int) -> dict[tuple[int, int, int], tuple[int, int, int, int]]:
+    # One scan of the box: each orbit's reduced form and the first matrix met in it.
+    _need_degree(d, SL2_EXHAUSTIVE_MAX)
+    span = range(-d, d + 1)
+    first: dict[tuple[int, int, int], tuple[int, int, int, int]] = {}
+    for alpha, beta, gamma, delta in product(span, repeat=4):
+        if alpha * delta - beta * gamma == d:
+            form = _reduce_columns(alpha, beta, gamma, delta)
+            first.setdefault(form, (alpha, beta, gamma, delta))
+    return first
+
+
 def sl2_orbit_count(d: int) -> int:
     """Number of column-operation orbits of integer matrices with determinant d.
 
@@ -88,33 +100,48 @@ def sl2_orbit_count(d: int) -> int:
     matrices contains exactly one reduced form, and that form has entries in
     [0, d], so the box misses no orbit.
     """
-    _need_degree(d, SL2_EXHAUSTIVE_MAX)
-    span = range(-d, d + 1)
-    forms = set()
-    for alpha, beta, gamma, delta in product(span, repeat=4):
-        if alpha * delta - beta * gamma == d:
-            forms.add(_reduce_columns(alpha, beta, gamma, delta))
-    return len(forms)
+    return len(_orbit_representatives(d))
 
 
 def orbit_agreement_check(dmax: int) -> CheckResult:
-    """Three routes to one number: orbit census, divisor sum, enumeration."""
+    """The orbit census against the sublattice list, one to one.
+
+    For each orbit of determinant-d matrices, `hnf_reduce` of the first
+    matrix the scan meets must be the orbit's own reduced form (alpha, gamma,
+    delta) read as (h, m, g); those forms must be exactly the enumerated
+    index-d sublattices, and their number the divisor sum sigma_1(d).
+    """
     _need_degree(dmax, SL2_EXHAUSTIVE_MAX)
-    from .lattice import enumerate_sublattices, sigma1
+    from .lattice import Basis2, enumerate_sublattices, hnf_reduce, sigma1
 
     for d in range(1, dmax + 1):
-        census = sl2_orbit_count(d)
+        orbits = _orbit_representatives(d)
+        for form, (alpha, beta, gamma, delta) in orbits.items():
+            reduced = hnf_reduce(Basis2((alpha, beta), (gamma, delta)))
+            if reduced != HnfLattice(*form):
+                return CheckResult(
+                    False,
+                    "oracle",
+                    counterexample={
+                        "d": d,
+                        "matrix": [alpha, beta, gamma, delta],
+                        "orbit_form": list(form),
+                        "hnf_reduce": reduced.to_json(),
+                    },
+                )
+        forms = {HnfLattice(*form) for form in orbits}
+        listed = enumerate_sublattices(d)
         divisor = sigma1(d)
-        listed = len(enumerate_sublattices(d))
-        if not census == divisor == listed:
+        if not len(orbits) == divisor == len(listed) or forms != set(listed):
             return CheckResult(
                 False,
                 "oracle",
                 counterexample={
                     "d": d,
-                    "orbit_census": census,
+                    "orbit_census": len(orbits),
                     "sigma1": divisor,
-                    "enumerated": listed,
+                    "enumerated": len(listed),
+                    "unmatched": [lat.to_json() for lat in sorted(forms ^ set(listed))],
                 },
             )
     return CheckResult(True, "oracle", details={"degrees": dmax})
@@ -246,7 +273,7 @@ def lumpsum_check(dmax: int) -> CheckResult:
     series must say the same thing.
     """
     _need_degree(dmax, DIVISOR_SUM_MAX)
-    totals = orbi.total_count_series(dmax)
+    totals = orbi.total_count_series(dmax).coeffs
     sigma = _divisor_sums(dmax)
     for d in range(1, dmax + 1):
         split = sum(
@@ -254,14 +281,14 @@ def lumpsum_check(dmax: int) -> CheckResult:
             for rest in product(tuple(OrbiPoint), repeat=3)
         )
         expected = 6 * sigma[d]
-        if split != expected or totals.coeffs[d] != expected:
+        if split != expected or totals[d] != expected:
             return CheckResult(
                 False,
                 "lumpsum",
                 counterexample={
                     "d": d,
                     "sum_of_counts": split,
-                    "series_coefficient": str(totals.coeffs[d]),
+                    "series_coefficient": str(totals[d]),
                     "expected": expected,
                 },
             )

@@ -70,11 +70,8 @@ class Potential:
                 raise ValueError(
                     f"series truncation {series.trunc} does not match potential {self.trunc}"
                 )
-        kept = {
-            mono: series
-            for mono, series in self.terms.items()
-            if any(c != 0 for c in series.coeffs)
-        }
+        blank = qseries.zero_series(self.trunc)
+        kept = {mono: series for mono, series in self.terms.items() if series != blank}
         object.__setattr__(self, "log_term", _as_fraction(self.log_term))
         object.__setattr__(self, "terms", kept)
 
@@ -151,9 +148,10 @@ def compare_potentials(a: Potential, b: Potential) -> list[PotentialDiff]:
     for mono in sorted(set(a.terms) | set(b.terms)):
         sa = a.terms.get(mono, blank)
         sb = b.terms.get(mono, blank)
-        for deg in range(a.trunc + 1):
-            if sa.coeffs[deg] != sb.coeffs[deg]:
-                diffs.append(PotentialDiff(mono, deg, sa.coeffs[deg], sb.coeffs[deg]))
+        if sa != sb:
+            for deg, (ca, cb) in enumerate(zip(sa.coeffs, sb.coeffs)):
+                if ca != cb:
+                    diffs.append(PotentialDiff(mono, deg, ca, cb))
     return diffs
 
 
@@ -185,12 +183,12 @@ def _series_head(coeffs: tuple[Fraction, ...]) -> str:
 def potential_pretty(p: Potential) -> str:
     """Group monomials sharing a series, one bracketed series per family."""
     lines = [f"F = ({p.log_term})*t0^2*log q"]
-    families: dict[tuple, list[Monomial]] = {}
+    families: dict[QSeries, list[Monomial]] = {}
     for mono, series in p.terms.items():
-        families.setdefault(series.coeffs, []).append(mono)
-    for coeffs in sorted(families, key=lambda c: max(families[c]), reverse=True):
-        monos = " + ".join(str(m) for m in sorted(families[coeffs], reverse=True))
-        lines.append(f"  + ({monos}) * [{_series_head(coeffs)}]")
+        families.setdefault(series, []).append(mono)
+    for series in sorted(families, key=lambda s: max(families[s]), reverse=True):
+        monos = " + ".join(str(m) for m in sorted(families[series], reverse=True))
+        lines.append(f"  + ({monos}) * [{_series_head(series.coeffs)}]")
     return "\n".join(lines)
 
 

@@ -5,9 +5,10 @@ denominator, in lowest terms: gcd(den, num_0, ..., num_N) == 1, so equal
 series have equal fields and hash alike however they were built.  Arithmetic
 is integer arithmetic on the numerators followed by that one gcd; no
 coefficient is converted along the way.  `fractions.Fraction` appears only
-where a coefficient leaves this module: the `coeffs` tuple (built on first
-read and kept), :func:`coefficient` and :func:`to_json`.  The public
-constructor takes ints and Fractions and refuses anything else.
+where a coefficient leaves this module: the `coeffs` tuple (built anew on each
+read, so read it once or use :func:`coefficient`), :func:`coefficient` and
+:func:`to_json`.  The public constructor takes ints and Fractions and refuses
+anything else.
 
 Truncation is part of the value: arithmetic carries trunc = min of the
 operand truncations, and reading a coefficient beyond the truncation is an
@@ -52,7 +53,7 @@ class QSeries:
     `QSeries(coeffs)` takes a nonempty sequence of ints and Fractions.
     """
 
-    __slots__ = ("_num", "_den", "_coeffs")
+    __slots__ = ("_num", "_den")
 
     def __init__(self, coeffs) -> None:
         if len(coeffs) == 0:
@@ -67,11 +68,9 @@ class QSeries:
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
-        """The coefficients as Fractions, built on first read and kept."""
-        if self._coeffs is None:
-            den = self._den
-            self._coeffs = tuple(Fraction(n, den) for n in self._num)
-        return self._coeffs
+        """The coefficients as Fractions, built anew on each read."""
+        den = self._den
+        return tuple(Fraction(n, den) for n in self._num)
 
     def __eq__(self, other) -> bool:
         if type(other) is not QSeries:
@@ -103,7 +102,6 @@ def _settle(s: QSeries, num, den: int) -> QSeries:
         den //= g
     s._num = num
     s._den = den
-    s._coeffs = None
     return s
 
 

@@ -82,8 +82,9 @@ def test_criterion_5_lump_sum():
         corrected = scale(add(f_series(n), constant_series(Fraction(1, 24), n)), 6)
         totals = total_count_series(n)
         assert totals == corrected
+        coeffs = totals.coeffs
         for d in range(1, n + 1):
-            assert totals.coeffs[d] == 6 * sigma1(d)
+            assert coeffs[d] == 6 * sigma1(d)
 
 
 def test_criterion_6_potential_matches_closed_form():

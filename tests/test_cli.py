@@ -172,6 +172,12 @@ def test_potential_compare_match(capsys):
     assert out == "MATCH\n"
 
 
+def test_potential_compare_match_json(capsys):
+    code, out, _ = _run(capsys, ["potential", "--max-degree", "20", "--compare-st", "--format", "json"])
+    assert code == 0
+    assert json.loads(out) == {"diffs": [], "match": True}
+
+
 def test_potential_pretty_header(capsys):
     code, out, _ = _run(capsys, ["potential", "--max-degree", "4"])
     assert code == 0

@@ -1,5 +1,6 @@
 import doctest
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from pillowcase import cli, lattice, orbi, qseries
+from pillowcase import cli, lattice, oracle, orbi, qseries
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -44,6 +45,32 @@ def test_readme_cli_transcript(capsys, monkeypatch):
     for argv, expected in transcript:
         assert cli.main(argv) == 0, argv
         assert capsys.readouterr().out == expected, argv
+
+
+def _readme_sentence(start: str) -> str:
+    # The README text from `start` up to the next full stop that ends a sentence.
+    text = " ".join(README.read_text().split())
+    return text[text.index(start) :].split(". ", 1)[0]
+
+
+def test_readme_lists_match_the_cli():
+    which = _readme_sentence("`series --which` accepts")
+    assert re.findall(r"`(\w+)`", which) == list(cli.SERIES_BUILDERS)
+    suites = _readme_sentence("`verify --suite` selects one of").split(";")[0]
+    assert re.findall(r"`(\w+)`", suites) == [*cli.VERIFY_SUITES, "all"]
+
+
+def test_readme_suite_limits_match_the_oracle():
+    # "(`oracle` at 12, ..., `lumpsum` and `closedform` at 1000; ...)"
+    clause = _readme_sentence("every suite clamps its degree").split("(", 1)[1].split(";")[0]
+    stated = {
+        suite: int(limit)
+        for names, limit in re.findall(r"((?:`\w+`(?: and )?)+) at (\d+)", clause)
+        for suite in re.findall(r"`(\w+)`", names)
+    }
+    assert stated == {suite: limit for suite, (limit, _) in cli.VERIFY_SUITES.items()}
+    limits = (oracle.SL2_EXHAUSTIVE_MAX, oracle.RH_EXHAUSTIVE_MAX, oracle.PARITY_EXHAUSTIVE_MAX)
+    assert set(stated.values()) == {*limits, oracle.DIVISOR_SUM_MAX}
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)

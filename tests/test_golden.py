@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import io
+import json
 import os
 from contextlib import redirect_stdout
 from itertools import combinations_with_replacement
@@ -38,12 +39,16 @@ COMMANDS = (
 CASES = [" ".join(argv + ["--format", fmt]) for argv in COMMANDS for fmt in FORMATS]
 
 
-def _digest(case: str) -> str:
+def _stdout(case: str) -> str:
     buf = io.StringIO()
     with redirect_stdout(buf):
         code = cli.main(case.split())
     assert code == 0, case
-    return hashlib.sha256(buf.getvalue().encode()).hexdigest()
+    return buf.getvalue()
+
+
+def _digest(case: str) -> str:
+    return hashlib.sha256(_stdout(case).encode()).hexdigest()
 
 
 GOLDEN = {
@@ -181,7 +186,7 @@ GOLDEN = {
     'potential --max-degree 40 --format json': 'bfc5a821121a7e0e46e8d3508606f8a923981e311f4bde7a7ff0173b2b22dfdb',
     'potential --max-degree 40 --compare-st --format pretty': '9160780d5c504b1c6e70039d6782e0de65a7dc60e0eaf55356ff930d2619bc6b',
     'potential --max-degree 40 --compare-st --format csv': '9160780d5c504b1c6e70039d6782e0de65a7dc60e0eaf55356ff930d2619bc6b',
-    'potential --max-degree 40 --compare-st --format json': '9160780d5c504b1c6e70039d6782e0de65a7dc60e0eaf55356ff930d2619bc6b',
+    'potential --max-degree 40 --compare-st --format json': '0cc2be9e99fb43cca91cce3746280af0bdef9ba3884ce11ceee51f1f2a79ee63',
     'verify --suite all --max-degree 40 --format pretty': '387109f0d578c095430cfef74efc360372ac0766fb0125bd88c64327b3ed8eb9',
     'verify --suite all --max-degree 40 --format csv': '04d9d5fd17eccce5f1cc1bd3c8002e14c8cec9347713e0cce310796c69740021',
     'verify --suite all --max-degree 40 --format json': 'feffcc05b02d575825c5ad3de9e8a8317576c5688b11f72c1c758ccd62afa296',
@@ -192,6 +197,11 @@ GOLDEN = {
 def test_stdout_is_byte_identical(case, monkeypatch):
     monkeypatch.delenv("CLI_COLOR", raising=False)
     assert _digest(case) == GOLDEN[case]
+
+
+@pytest.mark.parametrize("case", [case for case in CASES if case.endswith("--format json")])
+def test_json_stdout_parses(case):
+    json.loads(_stdout(case))
 
 
 if __name__ == "__main__":

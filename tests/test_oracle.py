@@ -2,8 +2,8 @@ from __future__ import annotations
 
 import pytest
 
-from pillowcase import oracle, orbi
-from pillowcase.lattice import sigma1
+from pillowcase import cli, lattice, oracle, orbi
+from pillowcase.lattice import HnfLattice, sigma1
 from pillowcase.oracle import (
     INSERTION_PARITY_TABLE,
     correlator_crosscheck,
@@ -50,6 +50,31 @@ def test_orbit_agreement_check():
     for dmax in (0, oracle.SL2_EXHAUSTIVE_MAX + 1, *NOT_INTS):
         with pytest.raises(ValueError):
             orbit_agreement_check(dmax)
+
+
+def test_orbit_agreement_catches_hnf_reduce_off_by_one(monkeypatch):
+    real = lattice.hnf_reduce
+
+    def shifted(basis):
+        lat = real(basis)
+        return HnfLattice(lat.h, (lat.m + 1) % lat.h, lat.g)
+
+    argv = ["verify", "--suite", "oracle", "--max-degree", "12"]
+    assert cli.main(argv) == 0
+    monkeypatch.setattr(lattice, "hnf_reduce", shifted)
+    assert cli.main(argv) == 1
+    result = orbit_agreement_check(12)
+    assert not result.ok and result.counterexample["d"] == 2
+
+
+def test_orbit_agreement_compares_sets_not_counts(monkeypatch):
+    # A listing of the right length with one sublattice twice is caught.
+    real = lattice.enumerate_sublattices
+    monkeypatch.setattr(lattice, "enumerate_sublattices", lambda d: real(d)[:-1] + real(d)[:1])
+    result = orbit_agreement_check(4)
+    assert not result.ok
+    assert result.counterexample["d"] == 2
+    assert result.counterexample["unmatched"] == [{"h": 2, "m": 1, "g": 1, "d": 2}]
 
 
 # ---------------------------------------------------------------------------

@@ -68,6 +68,26 @@ def test_symmetric_families_share_series():
     assert len(set(pairs)) == 1
 
 
+def test_matching_potentials_compare_without_reading_coeffs(monkeypatch):
+    # Zero series are pruned and equal series skipped by value, so building
+    # and comparing two matching potentials builds no Fraction tuple.
+    def refuse(series):
+        raise AssertionError("read QSeries.coeffs")
+
+    monkeypatch.setattr(QSeries, "coeffs", property(refuse))
+    assert compare_potentials(assemble_potential(40), st_reference_potential(40)) == []
+
+
+def test_zero_series_are_dropped_by_value():
+    kept = QSeries((0, F(1, 2), 0))
+    terms = {
+        _mono(0, 4, 0, 0, 0): QSeries((0, F(0), 0)),
+        _mono(0, 0, 4, 0, 0): kept - kept,
+        _mono(0, 0, 0, 4, 0): kept,
+    }
+    assert Potential(F(1), terms, 2).terms == {_mono(0, 0, 0, 4, 0): kept}
+
+
 def test_compare_requires_matching_truncation():
     with pytest.raises(ValueError):
         compare_potentials(assemble_potential(4), st_reference_potential(5))

@@ -37,7 +37,8 @@ F_COEFFS_17 = [F(-1, 24), 1, 3, 4, 7, 6, 12, 8, 15, 13, 18, 12, 28, 14, 24, 24, 
 
 def _convolve(a: QSeries, b: QSeries, n: int) -> Fraction:
     # independent reference for one product coefficient
-    return sum((a.coeffs[i] * b.coeffs[n - i] for i in range(n + 1)), F(0))
+    ac, bc = a.coeffs, b.coeffs
+    return sum((ac[i] * bc[n - i] for i in range(n + 1)), F(0))
 
 
 # ---------------------------------------------------------------------------
@@ -206,13 +207,14 @@ def test_arithmetic_matches_fraction_reference(a, b, r, k):
     # Each operation against its definition, coefficient by coefficient in
     # Fractions; equal values must also compare and hash equal.
     n = min(a.trunc, b.trunc)
+    ac = a.coeffs
     expected = [
         (add(a, b), [x + y for x, y in zip(a.coeffs, b.coeffs)]),
         (sub(a, b), [x - y for x, y in zip(a.coeffs, b.coeffs)]),
         (scale(a, r), [r * x for x in a.coeffs]),
         (mul(a, b), [_convolve(a, b, i) for i in range(n + 1)]),
         (negate_variable(a), [-x if i % 2 else x for i, x in enumerate(a.coeffs)]),
-        (substitute_power(a, k), [F(0) if j % k else a.coeffs[j // k] for j in range(a.trunc + 1)]),
+        (substitute_power(a, k), [F(0) if j % k else ac[j // k] for j in range(a.trunc + 1)]),
     ]
     for got, coeffs in expected:
         assert list(got.coeffs) == coeffs

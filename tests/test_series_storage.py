@@ -30,6 +30,8 @@ def _storage_reads(path: Path) -> list[str]:
 
 
 def test_storage_fields_are_the_series_slots():
+    # A series is its numerators and its denominator: no cache rides along.
+    assert QSeries.__slots__ == ("_num", "_den")
     assert STORAGE_FIELDS <= set(QSeries.__slots__)
     assert _storage_reads(PACKAGE / "qseries.py")
 
