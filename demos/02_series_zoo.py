@@ -24,7 +24,7 @@ from pillowcase import (
     f2_series,
     f_series,
 )
-from pillowcase.qseries import sub, substitute_power
+from pillowcase.qseries import mul, sub, substitute_power
 
 N = 16
 
@@ -51,7 +51,7 @@ print("f0 = D_odd and f2 = D_even - D(q^4) hold as series")
 
 # truncation semantics: arithmetic never invents coefficients
 short = f_series(5)
-product = short * f
+product = mul(short, f)
 print(f"\ntrunc of f_5 * f_{N} is min(5, {N}) = {product.trunc}")
 try:
     coefficient(product, 6)

@@ -2,9 +2,10 @@
 
 Subcommands: sublattices, series, correlators, potential, verify.  Exit
 codes: 0 on success, 1 when a verification finds a counterexample, 2 on
-usage errors.  Output is deterministic for fixed arguments; the only
-environment variable honoured is CLI_COLOR (set to 1 for coloured pretty
-output), everything else is flags.
+usage errors, 141 (the status of a process killed by SIGPIPE) when the
+reader closes stdout early, as `| head` does.  Output is deterministic for
+fixed arguments; the only environment variable honoured is CLI_COLOR (set to
+1 for coloured pretty output), everything else is flags.
 """
 
 from __future__ import annotations
@@ -143,8 +144,7 @@ def cmd_potential(args) -> int:
         print(_dump(potential.potential_to_json(assembled)))
     elif args.format == "csv":
         print(f"log_term,{assembled.log_term}")
-        for mono in sorted(assembled.terms):
-            series = assembled.terms[mono]
+        for mono, series in assembled.terms.items():
             exps = ",".join(str(e) for e in mono.exponents)
             for deg, c in enumerate(series.coeffs):
                 print(f"{exps},{deg},{c}")
@@ -276,7 +276,17 @@ def main(argv=None) -> int:
             parser.error(f"{flag} {degree} exceeds the cap {args.degree_cap}; raise --degree-cap")
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    return args.run(args)
+    try:
+        code = args.run(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader is gone.  Point fd 1 at devnull so the interpreter's own
+        # flush at exit cannot fail again, and stop without a traceback.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
+    return code
 
 
 if __name__ == "__main__":

@@ -18,10 +18,12 @@ constructions are provided:
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import factorial
+from types import MappingProxyType
 
 from . import orbi, qseries
 from .lattice import _need_int
@@ -36,8 +38,8 @@ class Monomial:
     exponents: tuple[int, int, int, int, int]
 
     def __post_init__(self) -> None:
-        if len(self.exponents) != 5:
-            raise ValueError(f"need 5 exponents, got {self.exponents}")
+        if type(self.exponents) is not tuple or len(self.exponents) != 5:
+            raise ValueError(f"need a tuple of 5 exponents, got {self.exponents!r}")
         for e in self.exponents:
             _need_int("exponent", e, 0)
 
@@ -53,27 +55,33 @@ class Monomial:
 
 @dataclass(frozen=True)
 class Potential:
-    """log_term * t_0^2 log q plus a sparse map of monomials to series.
+    """log_term * t_0^2 log q plus a read-only, sorted map of monomials to series.
 
     Identically zero series are dropped at construction, so two potentials
     are equal exactly when they print the same terms.
     """
 
     log_term: Fraction
-    terms: dict[Monomial, QSeries]
+    terms: Mapping[Monomial, QSeries]
     trunc: int
 
     def __post_init__(self) -> None:
         _need_int("trunc", self.trunc, 0)
-        for series in self.terms.values():
+        for mono, series in self.terms.items():
+            if type(mono) is not Monomial or type(series) is not QSeries:
+                raise TypeError(f"a term maps a Monomial to a QSeries, got {mono!r}: {series!r}")
             if series.trunc != self.trunc:
                 raise ValueError(
                     f"series truncation {series.trunc} does not match potential {self.trunc}"
                 )
         blank = qseries.zero_series(self.trunc)
-        kept = {mono: series for mono, series in self.terms.items() if series != blank}
+        kept = {mono: series for mono, series in sorted(self.terms.items()) if series != blank}
         object.__setattr__(self, "log_term", _as_fraction(self.log_term))
-        object.__setattr__(self, "terms", kept)
+        object.__setattr__(self, "terms", MappingProxyType(kept))
+
+    def __reduce__(self):
+        # A mapping proxy cannot be pickled; rebuild from a plain dict.
+        return Potential, (self.log_term, dict(self.terms), self.trunc)
 
 
 def _monomial(*indices: int) -> Monomial:
@@ -181,14 +189,13 @@ def _series_head(coeffs: tuple[Fraction, ...]) -> str:
 
 
 def potential_pretty(p: Potential) -> str:
-    """Group monomials sharing a series, one bracketed series per family."""
+    """Group monomials sharing a series, one bracketed series per family, highest first."""
     lines = [f"F = ({p.log_term})*t0^2*log q"]
     families: dict[QSeries, list[Monomial]] = {}
-    for mono, series in p.terms.items():
+    for mono, series in reversed(p.terms.items()):
         families.setdefault(series, []).append(mono)
-    for series in sorted(families, key=lambda s: max(families[s]), reverse=True):
-        monos = " + ".join(str(m) for m in sorted(families[series], reverse=True))
-        lines.append(f"  + ({monos}) * [{_series_head(series.coeffs)}]")
+    for series, monos in families.items():
+        lines.append(f"  + ({' + '.join(map(str, monos))}) * [{_series_head(series.coeffs)}]")
     return "\n".join(lines)
 
 
@@ -196,7 +203,7 @@ def potential_to_json(p: Potential) -> dict:
     return {
         "log_term": str(p.log_term),
         "terms": [
-            {"monomial": list(mono.exponents), "series": qseries.to_json(p.terms[mono])}
-            for mono in sorted(p.terms)
+            {"monomial": list(mono.exponents), "series": qseries.to_json(series)}
+            for mono, series in p.terms.items()
         ],
     }

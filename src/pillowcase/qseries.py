@@ -83,15 +83,6 @@ class QSeries:
     def __repr__(self) -> str:
         return f"QSeries({self.coeffs!r})"
 
-    def __add__(self, other: "QSeries") -> "QSeries":
-        return add(self, other)
-
-    def __sub__(self, other: "QSeries") -> "QSeries":
-        return sub(self, other)
-
-    def __mul__(self, other: "QSeries") -> "QSeries":
-        return mul(self, other)
-
 
 def _settle(s: QSeries, num, den: int) -> QSeries:
     # Fill s with num / den reduced to lowest terms; den > 0.

@@ -449,3 +449,15 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == "0,-1/24\n1,0\n2,0\n3,0\n4,1\n"
+
+
+def test_closed_stdout_exits_141_without_traceback():
+    # 19,344 rows overflow the pipe buffer, so the child is still writing when
+    # the reader hangs up after the first line.
+    argv = [sys.executable, "-m", "pillowcase.cli", "sublattices", "--degree", "5040"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline() == b"h m g d\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 141
+    assert err == b""

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -12,7 +14,7 @@ from pillowcase.potential import (
     potential_pretty,
     st_reference_potential,
 )
-from pillowcase.qseries import QSeries
+from pillowcase.qseries import QSeries, sub, zero_series
 
 F = Fraction
 
@@ -82,7 +84,7 @@ def test_zero_series_are_dropped_by_value():
     kept = QSeries((0, F(1, 2), 0))
     terms = {
         _mono(0, 4, 0, 0, 0): QSeries((0, F(0), 0)),
-        _mono(0, 0, 4, 0, 0): kept - kept,
+        _mono(0, 0, 4, 0, 0): sub(kept, kept),
         _mono(0, 0, 0, 4, 0): kept,
     }
     assert Potential(F(1), terms, 2).terms == {_mono(0, 0, 0, 4, 0): kept}
@@ -133,10 +135,81 @@ def test_potential_validation():
         Monomial((0, True, 1, 1, 1))
     with pytest.raises(ValueError):
         Monomial((0, 1.0, 1, 1, 1))
+    with pytest.raises(ValueError):  # a list cannot be hashed, so it cannot key a term
+        Monomial([0, 0, 0, 0, 4])
     with pytest.raises(ValueError):
         Potential(F(1), {_mono(0, 4, 0, 0, 0): QSeries((F(1), F(1)))}, 5)
     with pytest.raises(ValueError):  # a zero series is checked before it is dropped
         Potential(F(1), {_mono(0, 4, 0, 0, 0): QSeries((0,) * 6)}, 3)
+
+
+def _direct_potential() -> Potential:
+    return Potential(F(1), {_mono(0, 0, 0, 0, 4): QSeries((1, 2, 3))}, 2)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: assemble_potential(4), lambda: st_reference_potential(4), _direct_potential],
+    ids=["assembled", "reference", "direct"],
+)
+def test_terms_are_read_only(build):
+    p = build()
+    mono, series = next(iter(p.terms.items()))
+    with pytest.raises(TypeError):
+        p.terms[mono] = series
+    with pytest.raises(TypeError):
+        p.terms[_mono(0, 0, 0, 0, 1)] = zero_series(p.trunc)
+    with pytest.raises(TypeError):
+        del p.terms[mono]
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [
+        {(0, 0, 0, 0, 4): QSeries((1, 2, 3))},
+        {_mono(0, 0, 0, 0, 4): [1, 2, 3]},
+    ],
+    ids=["tuple-key", "list-value"],
+)
+def test_potential_refuses_bad_term_types(terms):
+    with pytest.raises(TypeError):
+        Potential(F(1), terms, 2)
+
+
+def test_terms_are_ascending_whatever_the_input_order():
+    monos = [_mono(0, 0, 0, 0, 4), _mono(0, 4, 0, 0, 0), _mono(0, 1, 1, 1, 1), _mono(2, 0, 0, 0, 0)]
+    terms = {mono: QSeries((k, 1)) for k, mono in enumerate(monos, 1)}
+    assert list(Potential(F(1), terms, 1).terms) == sorted(monos)
+    for p in (assemble_potential(4), st_reference_potential(4)):
+        assert list(p.terms) == sorted(p.terms)
+
+
+@pytest.mark.parametrize(
+    "roundtrip",
+    [lambda p: pickle.loads(pickle.dumps(p)), copy.copy, copy.deepcopy],
+    ids=["pickle", "copy", "deepcopy"],
+)
+def test_potential_round_trips(roundtrip):
+    for p in (assemble_potential(6), _direct_potential()):
+        q = roundtrip(p)
+        assert q == p and compare_potentials(q, p) == []
+        assert list(q.terms) == list(p.terms)
+        with pytest.raises(TypeError):
+            q.terms[next(iter(q.terms))] = zero_series(q.trunc)
+
+
+def test_equality_and_compare_cannot_be_made_to_disagree():
+    # A write into `terms` after construction could make == see a difference
+    # that compare_potentials misses, or slip in a series of another
+    # truncation that zip would compare only in part; both writes are refused.
+    a, b = st_reference_potential(4), st_reference_potential(4)
+    with pytest.raises(TypeError):
+        a.terms[_mono(0, 0, 0, 0, 1)] = zero_series(4)
+    with pytest.raises(TypeError):
+        a.terms[_mono(0, 0, 0, 0, 1)] = QSeries((1,) * 10)
+    assert a == b and compare_potentials(a, b) == []
+    with pytest.raises(ValueError):
+        Potential(a.log_term, {**a.terms, _mono(0, 0, 0, 0, 1): QSeries((1,) * 10)}, 4)
 
 
 @pytest.mark.parametrize("log_term", [0.5, True, False, "1/2"])

@@ -186,6 +186,15 @@ def test_empty_series_rejected():
         constant_series(1, -1)
 
 
+
+def test_arithmetic_has_no_operators():
+    # add, sub and mul are the one spelling of series arithmetic.
+    a = QSeries((1, 2))
+    for op in ("__add__", "__sub__", "__mul__"):
+        assert not hasattr(QSeries, op), op
+    with pytest.raises(TypeError):
+        a + a
+
 _fraction = st.fractions(min_value=-10, max_value=10, max_denominator=12)
 _series = st.lists(_fraction, min_size=1, max_size=12).map(lambda cs: QSeries(tuple(cs)))
 
