@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
-from math import floor
 
 from . import orbi
 from .lattice import HnfLattice
@@ -38,7 +37,6 @@ class CheckResult:
     """Verdict of one check; truthiness is the verdict."""
 
     ok: bool
-    name: str
     counterexample: dict | None = None
     details: dict = field(default_factory=dict)
 
@@ -121,7 +119,6 @@ def orbit_agreement_check(dmax: int) -> CheckResult:
             if reduced != HnfLattice(*form):
                 return CheckResult(
                     False,
-                    "oracle",
                     counterexample={
                         "d": d,
                         "matrix": [alpha, beta, gamma, delta],
@@ -135,7 +132,6 @@ def orbit_agreement_check(dmax: int) -> CheckResult:
         if not len(orbits) == divisor == len(listed) or forms != set(listed):
             return CheckResult(
                 False,
-                "oracle",
                 counterexample={
                     "d": d,
                     "orbit_census": len(orbits),
@@ -144,7 +140,7 @@ def orbit_agreement_check(dmax: int) -> CheckResult:
                     "unmatched": [lat.to_json() for lat in sorted(forms ^ set(listed))],
                 },
             )
-    return CheckResult(True, "oracle", details={"degrees": dmax})
+    return CheckResult(True, details={"degrees": dmax})
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +168,7 @@ _CORNER_BY_FRACTION = {
 
 
 def _corner_of(x: Fraction, y: Fraction) -> OrbiPoint:
-    key = (x - floor(x), y - floor(y))
+    key = (x % 1, y % 1)
     if key not in _CORNER_BY_FRACTION:
         raise ValueError(f"({x}, {y}) is not a half-period point")
     return _CORNER_BY_FRACTION[key]
@@ -182,9 +178,9 @@ def image_table_check(dmax: int) -> CheckResult:
     """Recompute corner images from exact rational points for every sublattice.
 
     The half periods of the sublattice (h, m, g) sit at h/2, (h+m)/2 +
-    (g/2)i and m/2 + (g/2)i; flooring reduces them into the fundamental
-    square and the fractional parts name the corner.  The result must agree
-    with both the parity table above and the main classification.
+    (g/2)i and m/2 + (g/2)i; reduced mod 1 into the fundamental square,
+    each names its corner.  The result must agree with both the parity
+    table above and the main classification.
     """
     _need_degree(dmax, PARITY_EXHAUSTIVE_MAX)
     half = Fraction(1, 2)
@@ -204,7 +200,6 @@ def image_table_check(dmax: int) -> CheckResult:
                 if not (direct == from_table == from_main):
                     return CheckResult(
                         False,
-                        "parity",
                         counterexample={
                             "d": d,
                             "h": h,
@@ -215,7 +210,7 @@ def image_table_check(dmax: int) -> CheckResult:
                             "classify_images": [int(p) for p in from_main],
                         },
                     )
-    return CheckResult(True, "parity", details={"lattices": lattices})
+    return CheckResult(True, details={"lattices": lattices})
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +249,6 @@ def correlator_crosscheck(dmax: int) -> CheckResult:
             if got != expected:
                 return CheckResult(
                     False,
-                    "closedform",
                     counterexample={
                         "insertions": [int(p) for p in ins],
                         "d": d,
@@ -262,7 +256,7 @@ def correlator_crosscheck(dmax: int) -> CheckResult:
                         "closed_form": str(expected),
                     },
                 )
-    return CheckResult(True, "closedform", details={"classes_checked": checked})
+    return CheckResult(True, details={"classes_checked": checked})
 
 
 def lumpsum_check(dmax: int) -> CheckResult:
@@ -284,7 +278,6 @@ def lumpsum_check(dmax: int) -> CheckResult:
         if split != expected or totals[d] != expected:
             return CheckResult(
                 False,
-                "lumpsum",
                 counterexample={
                     "d": d,
                     "sum_of_counts": split,
@@ -292,7 +285,7 @@ def lumpsum_check(dmax: int) -> CheckResult:
                     "expected": expected,
                 },
             )
-    return CheckResult(True, "lumpsum", details={"degrees": dmax})
+    return CheckResult(True, details={"degrees": dmax})
 
 
 # ---------------------------------------------------------------------------
@@ -327,40 +320,40 @@ def _fiber_solutions(n_marked: int, d: int):
     return out
 
 
-def rh_uniqueness_check(d: int) -> CheckResult:
-    """Degree-d branched covers of the sphere marked over the four corners.
+def rh_uniqueness_check(dmax: int) -> CheckResult:
+    """Branched covers of the sphere marked over the four corners, d = 1..dmax.
 
-    Enumerates every assignment of the four marked points to the four
-    corners and every compatible ramification profile: each fiber must sum
-    to d, and the total ramification excess is capped by the
+    At each degree d, enumerates every assignment of the four marked points
+    to the four corners and every compatible ramification profile: each
+    fiber must sum to d, and the total ramification excess is capped by the
     Euler-characteristic count 2 = 2d - excess - (extra branching >= 0).
     The check passes when every admissible profile is the unramified one
-    (all marked orders 1, all other preimages simple).
+    (all marked orders 1, all other preimages simple); it stops at the
+    first degree with another profile.
     """
-    _need_degree(d, RH_EXHAUSTIVE_MAX)
-    by_size = {n: _fiber_solutions(n, d) for n in range(5)}
+    _need_degree(dmax, RH_EXHAUSTIVE_MAX)
     solutions = 0
-    for assignment in product(range(4), repeat=4):
-        fibers = [tuple(i for i in range(4) if assignment[i] == t) for t in range(4)]
-        pools = [by_size[len(f)] for f in fibers]
-        for combo in product(*pools):
-            excess = combo[0][2] + combo[1][2] + combo[2][2] + combo[3][2]
-            if excess > 2 * d - 2:
-                continue
-            solutions += 1
-            if not (combo[0][3] and combo[1][3] and combo[2][3] and combo[3][3]):
-                marked_orders = [0, 0, 0, 0]
-                for fiber, (a_tuple, _, _, _) in zip(fibers, combo):
-                    for marker, a in zip(fiber, a_tuple):
-                        marked_orders[marker] = 2 * a + 1
-                return CheckResult(
-                    False,
-                    "rh",
-                    counterexample={
-                        "d": d,
-                        "assignment": [t + 1 for t in assignment],
-                        "marked_orders": marked_orders,
-                        "even_orders": [[2 * e for e in sol[1]] for sol in combo],
-                    },
-                )
-    return CheckResult(True, "rh", details={"solutions": solutions})
+    for d in range(1, dmax + 1):
+        by_size = {n: _fiber_solutions(n, d) for n in range(5)}
+        for assignment in product(range(4), repeat=4):
+            fibers = [tuple(i for i in range(4) if assignment[i] == t) for t in range(4)]
+            for combo in product(*(by_size[len(f)] for f in fibers)):
+                excess = combo[0][2] + combo[1][2] + combo[2][2] + combo[3][2]
+                if excess > 2 * d - 2:
+                    continue
+                solutions += 1
+                if not (combo[0][3] and combo[1][3] and combo[2][3] and combo[3][3]):
+                    marked_orders = [0, 0, 0, 0]
+                    for fiber, (a_tuple, _, _, _) in zip(fibers, combo):
+                        for marker, a in zip(fiber, a_tuple):
+                            marked_orders[marker] = 2 * a + 1
+                    return CheckResult(
+                        False,
+                        counterexample={
+                            "d": d,
+                            "assignment": [t + 1 for t in assignment],
+                            "marked_orders": marked_orders,
+                            "even_orders": [[2 * e for e in sol[1]] for sol in combo],
+                        },
+                    )
+    return CheckResult(True, details={"degrees": dmax, "solutions": solutions})

@@ -79,6 +79,10 @@ class Potential:
         object.__setattr__(self, "log_term", _as_fraction(self.log_term))
         object.__setattr__(self, "terms", MappingProxyType(kept))
 
+    def __hash__(self) -> int:
+        # The generated hash would hash the mapping proxy, which cannot be hashed.
+        return hash((self.log_term, tuple(self.terms.items()), self.trunc))
+
     def __reduce__(self):
         # A mapping proxy cannot be pickled; rebuild from a plain dict.
         return Potential, (self.log_term, dict(self.terms), self.trunc)

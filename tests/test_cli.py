@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import inspect
 import io
 import json
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 from unittest.mock import patch
 
 import pytest
@@ -276,7 +278,7 @@ def test_verify_degree_is_clamped(capsys, monkeypatch, suite, check, limit):
 
     def fake_check(dmax):
         seen.append(dmax)
-        return oracle.CheckResult(True, suite)
+        return oracle.CheckResult(True)
 
     monkeypatch.setattr(oracle, check, fake_check)
     code, out, _ = _run(
@@ -285,6 +287,18 @@ def test_verify_degree_is_clamped(capsys, monkeypatch, suite, check, limit):
     assert code == 0
     assert out == f"{suite} (d <= {limit}),PASS\n"
     assert seen == [cli.VERIFY_SUITES[suite][0]] == [limit]
+
+
+def test_every_suite_is_one_oracle_check_over_dmax(monkeypatch):
+    # The benchmark names its oracle spans from the same table, so a suite
+    # renamed or reordered here would time one suite under another's name.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import tracing
+
+    checks = {suite: check for suite, (_, check) in cli.VERIFY_SUITES.items()}
+    assert list(checks.items()) == list(tracing.ORACLE_SUITES.items())
+    for check in checks.values():
+        assert list(inspect.signature(getattr(oracle, check)).parameters) == ["dmax"]
 
 
 def test_verify_usage_errors(capsys):

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import json
+from fractions import Fraction
+
 import pytest
 
 from pillowcase import cli, lattice, oracle, orbi
@@ -94,6 +97,13 @@ def test_parity_table_has_all_eight_cases():
             assert len(set(images)) <= 2
 
 
+def test_corner_of_reduces_mod_one_and_refuses_other_points():
+    assert oracle._corner_of(Fraction(3, 2), Fraction(-1, 2)) is X3
+    assert oracle._corner_of(Fraction(-2), Fraction(5, 2)) is X4
+    with pytest.raises(ValueError):
+        oracle._corner_of(Fraction(1, 3), Fraction(0))
+
+
 def test_image_table_check_passes():
     result = image_table_check(30)
     assert result.ok
@@ -163,17 +173,49 @@ def test_check_range_validation():
 
 
 def test_rh_uniqueness_small_degrees():
-    for d in range(1, 7):
-        result = rh_uniqueness_check(d)
+    for dmax in range(1, 7):
+        result = rh_uniqueness_check(dmax)
         assert result.ok
+        assert result.details["degrees"] == dmax
         assert result.details["solutions"] > 0
 
 
 def test_rh_solution_counts():
     # odd degree forces a bijective corner assignment: 24 profiles; even
-    # degree pairs the marked points over two corners: 36 profiles
+    # degree pairs the marked points over two corners: 36 profiles at d = 2.
+    # The check sums over d = 1..dmax, so a degree's own count is a difference.
     assert rh_uniqueness_check(1).details["solutions"] == 24
-    assert rh_uniqueness_check(2).details["solutions"] == 36
+    assert rh_uniqueness_check(2).details["solutions"] == 24 + 36
+    totals = [0] + [rh_uniqueness_check(dmax).details["solutions"] for dmax in range(1, 7)]
+    assert [b - a for a, b in zip(totals, totals[1:])] == [24, 36, 24, 40, 24, 40]
+
+
+def test_rh_checks_every_degree_up_to_dmax(capsys, monkeypatch):
+    # One marked point over a corner at d = 3 may also ramify to order 3,
+    # with a faked excess of 1: beside three unramified fibers (excess 1
+    # each) the total 4 stays within 2d - 2, so the profile is admitted.
+    fiber_solutions = oracle._fiber_solutions
+
+    def patched(n_marked, d):
+        extra = [((1,), (), 1, False)] if (n_marked, d) == (1, 3) else []
+        return fiber_solutions(n_marked, d) + extra
+
+    monkeypatch.setattr(oracle, "_fiber_solutions", patched)
+    assert rh_uniqueness_check(2).ok
+    result = rh_uniqueness_check(5)
+    assert not result.ok
+    assert result.counterexample["d"] == 3
+    assert sorted(result.counterexample["marked_orders"]) == [1, 1, 1, 3]
+    argv = ["verify", "--suite", "rh", "--max-degree", "5", "--format", "json"]
+    assert cli.main(argv) == 1
+    (record,) = json.loads(capsys.readouterr().out)
+    assert record == {
+        "suite": "rh",
+        "label": "rh (d <= 5)",
+        "ok": False,
+        "details": {},
+        "counterexample": result.counterexample,
+    }
 
 
 def test_rh_range():

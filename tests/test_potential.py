@@ -212,6 +212,22 @@ def test_equality_and_compare_cannot_be_made_to_disagree():
         Potential(a.log_term, {**a.terms, _mono(0, 0, 0, 0, 1): QSeries((1,) * 10)}, 4)
 
 
+def test_equal_potentials_hash_equal():
+    # Three routes to one value: the enumeration, the closed form, and the
+    # closed form's terms given in reverse order with an extra zero series.
+    reference = st_reference_potential(6)
+    rebuilt = Potential(
+        reference.log_term,
+        {_mono(0, 0, 0, 0, 1): zero_series(6), **dict(reversed(reference.terms.items()))},
+        6,
+    )
+    equal = [assemble_potential(6), reference, rebuilt]
+    assert len({hash(p) for p in equal}) == 1
+    assert len(set(equal)) == 1
+    shifted = Potential(reference.log_term + 1, reference.terms, 6)
+    assert len({*equal, shifted}) == 2
+
+
 @pytest.mark.parametrize("log_term", [0.5, True, False, "1/2"])
 def test_potential_refuses_inexact_log_term(log_term):
     with pytest.raises(TypeError):
