@@ -129,6 +129,15 @@ def enumerate_sublattices(d: int) -> list[HnfLattice]:
     """All index-d sublattices as canonical triples, ordered by (h, m).
 
     For each divisor h of d there are exactly h triples (h, 0..h-1, d/h),
-    so the total count is sigma1(d).
+    so the total count is sigma1(d).  Those loops make every triple valid, so
+    each one is filled in without the constructor's checks.
     """
-    return [HnfLattice(h, m, d // h) for h in divisors(d) for m in range(h)]
+    return [_unchecked(h, m, d // h) for h in divisors(d) for m in range(h)]
+
+
+def _unchecked(h: int, m: int, g: int) -> HnfLattice:
+    # The triple the public constructor would build, minus __post_init__; only
+    # for triples already known valid (h | d, 0 <= m < h).
+    lat = object.__new__(HnfLattice)
+    lat.__dict__.update(h=h, m=m, g=g)
+    return lat

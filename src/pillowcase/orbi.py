@@ -18,7 +18,7 @@ from __future__ import annotations
 from collections import Counter
 from enum import IntEnum
 from functools import cache
-from itertools import permutations
+from itertools import permutations, product
 
 from .lattice import HnfLattice, _need_int, enumerate_sublattices
 from .qseries import QSeries
@@ -86,12 +86,16 @@ def classify_images(lat: HnfLattice) -> tuple[OrbiPoint, OrbiPoint, OrbiPoint]:
 
         X2 -> (h, 0)    X3 -> (h+m, g)    X4 -> (m, g)    (mod 2)
 
-    Only the parities of (h, m, g) matter, giving eight cases in total.
+    Only the parities of (h, m, g) matter, giving eight cases in total, read
+    from a table built once from these cosets.
     """
-    c2 = (lat.h % 2, 0)
-    c3 = ((lat.h + lat.m) % 2, lat.g % 2)
-    c4 = (lat.m % 2, lat.g % 2)
-    return (POINT_BY_COSET[c2], POINT_BY_COSET[c3], POINT_BY_COSET[c4])
+    return _IMAGES_BY_PARITY[lat.h % 2, lat.m % 2, lat.g % 2]
+
+
+_IMAGES_BY_PARITY = {
+    (h, m, g): (POINT_BY_COSET[h, 0], POINT_BY_COSET[(h + m) % 2, g], POINT_BY_COSET[m, g])
+    for h, m, g in product((0, 1), repeat=3)
+}
 
 
 _POINT_BY_LABEL = {p.value: p for p in OrbiPoint}
@@ -99,18 +103,23 @@ _POINT_BY_LABEL = {p.value: p for p in OrbiPoint}
 
 def _as_points(ins) -> InsertionTuple:
     # OrbiPoint members or plain ints 1..4: a bool or a float is refused, not
-    # read as the corner it equals.
+    # read as the corner it equals, so a tuple passes as is only when its
+    # members are OrbiPoints by type (True == X1, yet True is no corner).
+    if type(ins) is tuple and len(ins) == 4:
+        if type(ins[0]) is type(ins[1]) is type(ins[2]) is type(ins[3]) is OrbiPoint:
+            return ins
     pts = tuple(ins)
     if len(pts) != 4 or not all(type(p) in (int, OrbiPoint) and p in _POINT_BY_LABEL for p in pts):
         raise ValueError(f"need 4 insertion points, each an OrbiPoint or an int 1..4, got {pts!r}")
     return tuple(_POINT_BY_LABEL[p] for p in pts)
 
 
-def _x1_first(ins: InsertionTuple) -> InsertionTuple:
-    # Counting happens with the first marked corner pinned over X1; the count
-    # is translation invariant, so translate the first corner there.
-    action = _TO_X1[ins[0]]
-    return tuple(action[p] for p in ins)
+# Counting happens with the first marked corner pinned over X1; the count is
+# translation invariant, so every ordered tuple is read at its translate that
+# starts at X1.
+_X1_FIRST: dict[InsertionTuple, InsertionTuple] = {
+    ins: tuple(map(_TO_X1[ins[0]].__getitem__, ins)) for ins in product(OrbiPoint, repeat=4)
+}
 
 
 def _cover_census(d: int) -> dict[InsertionTuple, int]:
@@ -127,7 +136,7 @@ def _census(d, enumerate_fn, classify_fn, markings):
     # Sublattices with the same image triple (one per parity class, at most
     # eight) carry the same covers, so each class is expanded once.
     covers = Counter()
-    for img, lattices in Counter(classify_fn(lat) for lat in enumerate_fn(d)).items():
+    for img, lattices in Counter(map(classify_fn, enumerate_fn(d))).items():
         for tau in markings:
             covers[OrbiPoint.X1, img[tau[0] - 2], img[tau[1] - 2], img[tau[2] - 2]] += lattices
     return dict(covers)
@@ -145,7 +154,7 @@ def correlator(ins, d: int) -> int:
     >>> correlator((1, 2, 3, 4), 3)
     4
     """
-    return _cover_census(_need_int("d", d, 1)).get(_x1_first(_as_points(ins)), 0)
+    return _cover_census(_need_int("d", d, 1)).get(_X1_FIRST[_as_points(ins)], 0)
 
 
 def correlator_series(ins, trunc: int) -> QSeries:

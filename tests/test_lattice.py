@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import copy
+import dataclasses
+import pickle
 import random
 from itertools import product
 
@@ -194,6 +197,26 @@ def test_enumerate_is_lexicographic_and_valid():
 def test_enumerate_count_is_sigma1():
     for d in range(1, 61):
         assert len(enumerate_sublattices(d)) == sigma1(d)
+
+
+def test_enumerated_lattices_behave_like_checked_ones():
+    # enumerate_sublattices skips the constructor's checks; what it returns
+    # must still be indistinguishable from the checked value.
+    for d in range(1, 61):
+        lats = enumerate_sublattices(d)
+        checked = [HnfLattice(lat.h, lat.m, lat.g) for lat in lats]
+        assert lats == checked
+        assert sorted(lats) == sorted(checked) == lats
+        for lat, ref in zip(lats, checked):
+            assert type(lat) is HnfLattice
+            assert hash(lat) == hash(ref)
+            assert repr(lat) == repr(ref)
+            assert lat.to_json() == ref.to_json()
+            for twin in (pickle.loads(pickle.dumps(lat)), copy.copy(lat), copy.deepcopy(lat)):
+                assert twin == ref and hash(twin) == hash(ref)
+    lat = enumerate_sublattices(6)[-1]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        lat.h = 7
 
 
 def test_enumerate_rejects_nonpositive():

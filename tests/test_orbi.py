@@ -5,6 +5,7 @@ from itertools import permutations, product
 
 import pytest
 
+from pillowcase import orbi
 from pillowcase.lattice import HnfLattice, enumerate_sublattices, sigma1
 from pillowcase.orbi import (
     OrbiPoint,
@@ -37,6 +38,32 @@ def test_classify_images_spot_values():
     assert classify_images(HnfLattice(1, 0, 1)) == (X2, X3, X4)
     assert classify_images(HnfLattice(2, 0, 2)) == (X1, X1, X1)
     assert classify_images(HnfLattice(2, 1, 2)) == (X1, X2, X2)
+
+
+def test_classify_images_is_the_coset_formula():
+    # X2 -> (h, 0), X3 -> (h+m, g), X4 -> (m, g), each mod 2, written out here
+    # independently of the table classify_images reads.
+    point = {(0, 0): X1, (1, 0): X2, (1, 1): X3, (0, 1): X4}
+    for h in range(1, 9):
+        for g in range(1, 9):
+            for m in range(h):
+                expected = (point[h % 2, 0], point[(h + m) % 2, g % 2], point[m % 2, g % 2])
+                assert classify_images(HnfLattice(h, m, g)) == expected, (h, m, g)
+
+
+def test_census_classifies_each_enumerated_lattice_once(monkeypatch):
+    # One classification per lattice until the census counts parity classes;
+    # a wrapped classifier is a new memo key, so the census is built cold.
+    calls = []
+
+    def counted(lat):
+        calls.append(lat)
+        return classify_images(lat)
+
+    monkeypatch.setattr(orbi, "classify_images", counted)
+    assert correlator((1, 2, 3, 4), 12) == 0
+    assert len(calls) == sigma1(12) == 28
+    assert calls == enumerate_sublattices(12)
 
 
 def test_classify_images_depends_only_on_parities():
@@ -100,6 +127,22 @@ def test_correlator_input_validation():
             correlator(ins, 3)
         with pytest.raises(ValueError):
             correlator_series(ins, 3)
+
+
+def test_insertion_fast_path_keeps_the_integer_rule():
+    # A tuple of OrbiPoints is taken as is; equal-but-wrong inputs are not.
+    assert correlator((X1, X2, X3, X4), 6) == 0  # the d = 6 census is built
+    for corners, count in (((1, 2, 3, 4), 0), ((2, 2, 3, 3), 8), ((1, 4, 1, 4), 8)):
+        spellings = (
+            corners,
+            list(corners),
+            tuple(OrbiPoint(c) for c in corners),
+            (c for c in corners),
+        )
+        assert [correlator(ins, 6) for ins in spellings] == [count] * 4
+    for ins in ((True, 2, 3, 4), (1, 2, 3, 4.0), (X1, X2, X3, False)):
+        with pytest.raises(ValueError):
+            correlator(ins, 6)
 
 
 @pytest.mark.parametrize("d", [True, 1.0])
