@@ -19,11 +19,12 @@ from . import orbi
 from .lattice import HnfLattice
 from .orbi import OrbiPoint
 
-# Exhaustive ranges.  The matrix census scans a box of (2d+1)^4 candidate
-# matrices and the branching census walks every partition of d across four
-# fibers, so both are capped where a desk machine still finishes in seconds.
-# The parity census walks about 0.82 * dmax^2 sublattices in exact rational
-# arithmetic; all eight parity classes occur by d = 6, so its cap drops no case.
+# Exhaustive ranges.  The matrix census scans the (2d+1)^3 choices of
+# (alpha, beta, gamma) in [-d, d] and solves for delta, and the branching
+# census walks every partition of d across four fibers, so both are capped
+# where a desk machine still finishes in seconds.  The parity census walks about
+# 0.82 * dmax^2 sublattices, each corner an exact rational point reduced once
+# per call; all eight parity classes occur by d = 6, so its cap drops no case.
 # The lump-sum and closed-form checks test counts that enumerate about
 # 0.82 * dmax^2 sublattices, so both are capped where they take seconds.
 SL2_EXHAUSTIVE_MAX = 12
@@ -81,11 +82,22 @@ def _reduce_columns(alpha: int, beta: int, gamma: int, delta: int) -> tuple[int,
 
 def _orbit_representatives(d: int) -> dict[tuple[int, int, int], tuple[int, int, int, int]]:
     # One scan of the box: each orbit's reduced form and the first matrix met in it.
+    # For each (alpha, beta, gamma) the determinant fixes delta, so the scan
+    # meets the determinant-d matrices in the lexicographic order of all four.
     _need_degree(d, SL2_EXHAUSTIVE_MAX)
     span = range(-d, d + 1)
     first: dict[tuple[int, int, int], tuple[int, int, int, int]] = {}
-    for alpha, beta, gamma, delta in product(span, repeat=4):
-        if alpha * delta - beta * gamma == d:
+    for alpha, beta, gamma in product(span, repeat=3):
+        if alpha:
+            delta, rest = divmod(d + beta * gamma, alpha)
+            if rest or not -d <= delta <= d:
+                continue
+            deltas = (delta,)
+        elif beta * gamma == -d:
+            deltas = span
+        else:
+            continue
+        for delta in deltas:
             form = _reduce_columns(alpha, beta, gamma, delta)
             first.setdefault(form, (alpha, beta, gamma, delta))
     return first
@@ -94,9 +106,10 @@ def _orbit_representatives(d: int) -> dict[tuple[int, int, int], tuple[int, int,
 def sl2_orbit_count(d: int) -> int:
     """Number of column-operation orbits of integer matrices with determinant d.
 
-    Scans every matrix with entries in [-d, d]; each orbit of determinant-d
-    matrices contains exactly one reduced form, and that form has entries in
-    [0, d], so the box misses no orbit.
+    Meets every determinant-d matrix with entries in [-d, d], solving for
+    delta from (alpha, beta, gamma); each orbit of determinant-d matrices
+    contains exactly one reduced form, and that form has entries in [0, d],
+    so the box misses no orbit.
     """
     return len(_orbit_representatives(d))
 
@@ -179,21 +192,24 @@ def image_table_check(dmax: int) -> CheckResult:
 
     The half periods of the sublattice (h, m, g) sit at h/2, (h+m)/2 +
     (g/2)i and m/2 + (g/2)i; reduced mod 1 into the fundamental square,
-    each names its corner.  The result must agree with both the parity
-    table above and the main classification.
+    each names its corner.  Each distinct point is reduced once per call and
+    looked up for every sublattice it belongs to.  The result must agree
+    with both the parity table above and the main classification.
     """
     _need_degree(dmax, PARITY_EXHAUSTIVE_MAX)
-    half = Fraction(1, 2)
+    corners: dict[tuple[int, int], OrbiPoint] = {}  # doubled coordinates -> corner
+
+    def corner(a: int, b: int) -> OrbiPoint:
+        if (a, b) not in corners:
+            corners[a, b] = _corner_of(Fraction(a, 2), Fraction(b, 2))
+        return corners[a, b]
+
     lattices = 0
     for d in range(1, dmax + 1):
         for h in (k for k in range(1, d + 1) if d % k == 0):
             g = d // h
             for m in range(h):
-                direct = (
-                    _corner_of(h * half, Fraction(0)),
-                    _corner_of((h + m) * half, g * half),
-                    _corner_of(m * half, g * half),
-                )
+                direct = (corner(h, 0), corner(h + m, g), corner(m, g))
                 from_table = INSERTION_PARITY_TABLE[(g % 2, h % 2, m % 2)]
                 from_main = orbi.classify_images(HnfLattice(h, m, g))
                 lattices += 1
@@ -320,6 +336,28 @@ def _fiber_solutions(n_marked: int, d: int):
     return out
 
 
+def _profiles_within(fiber_lists: list[list], budget: int):
+    # The combinations of product(*fiber_lists), in product order, whose
+    # excesses (entry 2) sum to at most budget.  A prefix is dropped once its
+    # excess plus the least excess of every later list exceeds the budget, so
+    # no admitted combination is lost whatever order the lists are in.
+    if not all(fiber_lists):
+        return
+    floors = [0] * (len(fiber_lists) + 1)
+    for i in reversed(range(len(fiber_lists))):
+        floors[i] = floors[i + 1] + min(sol[2] for sol in fiber_lists[i])
+
+    def walk(i: int, prefix: tuple, excess: int):
+        if i == len(fiber_lists):
+            yield prefix
+            return
+        for sol in fiber_lists[i]:
+            if excess + sol[2] + floors[i + 1] <= budget:
+                yield from walk(i + 1, prefix + (sol,), excess + sol[2])
+
+    yield from walk(0, (), 0)
+
+
 def rh_uniqueness_check(dmax: int) -> CheckResult:
     """Branched covers of the sphere marked over the four corners, d = 1..dmax.
 
@@ -327,9 +365,11 @@ def rh_uniqueness_check(dmax: int) -> CheckResult:
     to the four corners and every compatible ramification profile: each
     fiber must sum to d, and the total ramification excess is capped by the
     Euler-characteristic count 2 = 2d - excess - (extra branching >= 0).
-    The check passes when every admissible profile is the unramified one
-    (all marked orders 1, all other preimages simple); it stops at the
-    first degree with another profile.
+    The profiles are walked fiber by fiber in product order, and a partial
+    profile is dropped as soon as no choice for the remaining fibers keeps
+    the excess within the cap.  The check passes when every admissible
+    profile is the unramified one (all marked orders 1, all other preimages
+    simple); it stops at the first degree with another profile.
     """
     _need_degree(dmax, RH_EXHAUSTIVE_MAX)
     solutions = 0
@@ -337,10 +377,7 @@ def rh_uniqueness_check(dmax: int) -> CheckResult:
         by_size = {n: _fiber_solutions(n, d) for n in range(5)}
         for assignment in product(range(4), repeat=4):
             fibers = [tuple(i for i in range(4) if assignment[i] == t) for t in range(4)]
-            for combo in product(*(by_size[len(f)] for f in fibers)):
-                excess = combo[0][2] + combo[1][2] + combo[2][2] + combo[3][2]
-                if excess > 2 * d - 2:
-                    continue
+            for combo in _profiles_within([by_size[len(f)] for f in fibers], 2 * d - 2):
                 solutions += 1
                 if not (combo[0][3] and combo[1][3] and combo[2][3] and combo[3][3]):
                     marked_orders = [0, 0, 0, 0]

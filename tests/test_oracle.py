@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -80,6 +81,18 @@ def test_orbit_agreement_compares_sets_not_counts(monkeypatch):
     assert result.counterexample["unmatched"] == [{"h": 2, "m": 1, "g": 1, "d": 2}]
 
 
+def test_orbit_scan_meets_matrices_as_the_four_entry_scan_does():
+    # Solving for delta must keep the first matrix met in each orbit, and the
+    # orbits in the order first met: hnf_reduce is checked on that matrix.
+    for d in range(1, 7):
+        first = {}
+        for alpha, beta, gamma, delta in product(range(-d, d + 1), repeat=4):
+            if alpha * delta - beta * gamma == d:
+                form = oracle._reduce_columns(alpha, beta, gamma, delta)
+                first.setdefault(form, (alpha, beta, gamma, delta))
+        assert list(oracle._orbit_representatives(d).items()) == list(first.items())
+
+
 # ---------------------------------------------------------------------------
 # corner classification
 # ---------------------------------------------------------------------------
@@ -124,6 +137,30 @@ def _swap_x3_x4(images):
 def test_image_table_check_catches_swapped_table(monkeypatch):
     bad = {key: _swap_x3_x4(images) for key, images in INSERTION_PARITY_TABLE.items()}
     monkeypatch.setattr(oracle, "INSERTION_PARITY_TABLE", bad)
+    result = image_table_check(10)
+    assert not result.ok
+    assert result.counterexample["d"] == 1
+
+
+def test_image_table_check_sees_a_fault_at_one_lattice(monkeypatch):
+    # Corners are reduced once per point, but every lattice is still compared.
+    real = orbi.classify_images
+
+    def wrong_at_one(lat):
+        images = real(lat)
+        return _swap_x3_x4(images) if (lat.h, lat.m, lat.g) == (10, 7, 3) else images
+
+    monkeypatch.setattr(orbi, "classify_images", wrong_at_one)
+    result = image_table_check(30)
+    assert not result.ok
+    cex = result.counterexample
+    assert (cex["d"], cex["h"], cex["m"], cex["g"]) == (30, 10, 7, 3)
+
+
+def test_image_table_check_reads_the_corner_names_on_each_call(monkeypatch):
+    assert image_table_check(10).ok
+    swapped = {point: _swap_x3_x4((corner,))[0] for point, corner in oracle._CORNER_BY_FRACTION.items()}
+    monkeypatch.setattr(oracle, "_CORNER_BY_FRACTION", swapped)
     result = image_table_check(10)
     assert not result.ok
     assert result.counterexample["d"] == 1
@@ -216,6 +253,33 @@ def test_rh_checks_every_degree_up_to_dmax(capsys, monkeypatch):
         "details": {},
         "counterexample": result.counterexample,
     }
+
+
+def _admitted(fiber_lists, budget):
+    return [combo for combo in product(*fiber_lists) if sum(sol[2] for sol in combo) <= budget]
+
+
+def test_rh_pruned_walk_yields_the_admitted_product_in_order():
+    for d in range(1, 8):
+        by_size = {n: oracle._fiber_solutions(n, d) for n in range(5)}
+        for assignment in product(range(4), repeat=4):
+            lists = [by_size[assignment.count(t)] for t in range(4)]
+            assert list(oracle._profiles_within(lists, 2 * d - 2)) == _admitted(lists, 2 * d - 2)
+
+
+def test_rh_pruned_walk_does_not_rely_on_sorted_excesses():
+    # Excesses out of order in every list, and an empty list admits nothing.
+    lists = [
+        [("a", (), 3, False), ("b", (), 0, True), ("c", (), 2, False)],
+        [("d", (), 1, False), ("e", (), 4, False), ("f", (), 0, True)],
+        [("g", (), 2, False), ("h", (), 1, False)],
+    ]
+    for budget in range(-1, 10):
+        assert list(oracle._profiles_within(lists, budget)) == _admitted(lists, budget)
+    assert [c[0][0] + c[1][0] + c[2][0] for c in oracle._profiles_within(lists, 3)] == [
+        "bdg", "bdh", "bfg", "bfh", "cfh"
+    ]
+    assert list(oracle._profiles_within(lists + [[]], 10)) == []
 
 
 def test_rh_range():
