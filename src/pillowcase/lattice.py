@@ -38,7 +38,7 @@ class Basis2:
                 _need_int(f"{name} entry", entry)
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, init=False)
 class HnfLattice:
     """Canonical triple (h, m, g): basis (h, 0), (m, g); index d = h*g."""
 
@@ -46,11 +46,16 @@ class HnfLattice:
     m: int
     g: int
 
-    def __post_init__(self) -> None:
-        _need_int("h", self.h, 1)
-        _need_int("g", self.g, 1)
-        if _need_int("m", self.m, 0) >= self.h:
-            raise ValueError(f"need m < h, got m={self.m}, h={self.h}")
+    def __init__(self, h: int, m: int, g: int) -> None:
+        # One inline test passes every valid triple; a failing one is checked
+        # field by field (h, g, m, then m < h) so the message names the field.
+        if not (type(h) is type(m) is type(g) is int and 0 <= m < h and g >= 1):
+            _need_int("h", h, 1)
+            _need_int("g", g, 1)
+            if _need_int("m", m, 0) >= h:
+                raise ValueError(f"need m < h, got m={m}, h={h}")
+        # A frozen dataclass refuses attribute assignment, so fill the dict.
+        self.__dict__.update(h=h, m=m, g=g)
 
     @property
     def d(self) -> int:
@@ -129,15 +134,6 @@ def enumerate_sublattices(d: int) -> list[HnfLattice]:
     """All index-d sublattices as canonical triples, ordered by (h, m).
 
     For each divisor h of d there are exactly h triples (h, 0..h-1, d/h),
-    so the total count is sigma1(d).  Those loops make every triple valid, so
-    each one is filled in without the constructor's checks.
+    so the total count is sigma1(d).
     """
-    return [_unchecked(h, m, d // h) for h in divisors(d) for m in range(h)]
-
-
-def _unchecked(h: int, m: int, g: int) -> HnfLattice:
-    # The triple the public constructor would build, minus __post_init__; only
-    # for triples already known valid (h | d, 0 <= m < h).
-    lat = object.__new__(HnfLattice)
-    lat.__dict__.update(h=h, m=m, g=g)
-    return lat
+    return [HnfLattice(h, m, g) for h in divisors(d) for g in [d // h] for m in range(h)]

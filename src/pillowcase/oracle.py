@@ -84,7 +84,8 @@ def _orbit_representatives(d: int) -> dict[tuple[int, int, int], tuple[int, int,
     # One scan of the box: each orbit's reduced form and the first matrix met in it.
     # For each (alpha, beta, gamma) the determinant fixes delta, so the scan
     # meets the determinant-d matrices in the lexicographic order of all four.
-    _need_degree(d, SL2_EXHAUSTIVE_MAX)
+    # Each orbit holds exactly one reduced form, with entries in [0, d], so
+    # the box [-d, d]^4 misses no orbit.
     span = range(-d, d + 1)
     first: dict[tuple[int, int, int], tuple[int, int, int, int]] = {}
     for alpha, beta, gamma in product(span, repeat=3):
@@ -103,17 +104,6 @@ def _orbit_representatives(d: int) -> dict[tuple[int, int, int], tuple[int, int,
     return first
 
 
-def sl2_orbit_count(d: int) -> int:
-    """Number of column-operation orbits of integer matrices with determinant d.
-
-    Meets every determinant-d matrix with entries in [-d, d], solving for
-    delta from (alpha, beta, gamma); each orbit of determinant-d matrices
-    contains exactly one reduced form, and that form has entries in [0, d],
-    so the box misses no orbit.
-    """
-    return len(_orbit_representatives(d))
-
-
 def orbit_agreement_check(dmax: int) -> CheckResult:
     """The orbit census against the sublattice list, one to one.
 
@@ -127,9 +117,11 @@ def orbit_agreement_check(dmax: int) -> CheckResult:
 
     for d in range(1, dmax + 1):
         orbits = _orbit_representatives(d)
+        forms = set()
         for form, (alpha, beta, gamma, delta) in orbits.items():
             reduced = hnf_reduce(Basis2((alpha, beta), (gamma, delta)))
-            if reduced != HnfLattice(*form):
+            lat = HnfLattice(*form)
+            if reduced != lat:
                 return CheckResult(
                     False,
                     counterexample={
@@ -139,7 +131,7 @@ def orbit_agreement_check(dmax: int) -> CheckResult:
                         "hnf_reduce": reduced.to_json(),
                     },
                 )
-        forms = {HnfLattice(*form) for form in orbits}
+            forms.add(lat)
         listed = enumerate_sublattices(d)
         divisor = sigma1(d)
         if not len(orbits) == divisor == len(listed) or forms != set(listed):

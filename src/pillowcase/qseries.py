@@ -7,8 +7,8 @@ is integer arithmetic on the numerators followed by that one gcd; no
 coefficient is converted along the way.  `fractions.Fraction` appears only
 where a coefficient leaves this module: the `coeffs` tuple (built anew on each
 read, so read it once or use :func:`coefficient`), :func:`coefficient` and
-:func:`to_json`.  The public constructor takes ints and Fractions and refuses
-anything else.
+:func:`to_json`.  The public constructor takes a tuple or a list of ints and
+Fractions and refuses anything else.
 
 Truncation is part of the value: arithmetic carries trunc = min of the
 operand truncations, and reading a coefficient beyond the truncation is an
@@ -50,12 +50,15 @@ def _as_fraction(value) -> Fraction:
 class QSeries:
     """Coefficients (c_0, ..., c_N); the truncation N is len(coeffs) - 1.
 
-    `QSeries(coeffs)` takes a nonempty sequence of ints and Fractions.
+    `QSeries(coeffs)` takes a nonempty tuple or list of ints and Fractions;
+    any other container (a dict, a set, a generator) is a TypeError.
     """
 
     __slots__ = ("_num", "_den")
 
     def __init__(self, coeffs) -> None:
+        if type(coeffs) not in (tuple, list):
+            raise TypeError(f"need a tuple or a list of coefficients, got {type(coeffs).__name__}")
         if len(coeffs) == 0:
             raise ValueError("a series needs at least its constant coefficient")
         pairs = [_ratio(c) for c in coeffs]

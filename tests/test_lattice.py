@@ -200,8 +200,8 @@ def test_enumerate_count_is_sigma1():
 
 
 def test_enumerated_lattices_behave_like_checked_ones():
-    # enumerate_sublattices skips the constructor's checks; what it returns
-    # must still be indistinguishable from the checked value.
+    # What enumerate_sublattices returns must be indistinguishable from a
+    # lattice built field by field: equality, order, hash, repr and copies.
     for d in range(1, 61):
         lats = enumerate_sublattices(d)
         checked = [HnfLattice(lat.h, lat.m, lat.g) for lat in lats]
@@ -262,3 +262,37 @@ def test_hnf_lattice_validation():
 def test_hnf_lattice_refuses_non_integer_fields(fields):
     with pytest.raises(ValueError):
         HnfLattice(*fields)
+
+
+# The exact messages, and which field is named first when several are bad:
+# h, then g, then m, then m < h.
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ((0, 0, 1), "need an integer h >= 1, got 0"),
+        ((2, 0, 0), "need an integer g >= 1, got 0"),
+        ((2, -1, 1), "need an integer m >= 0, got -1"),
+        ((2, 2, 1), "need m < h, got m=2, h=2"),
+        ((3, 5, 1), "need m < h, got m=5, h=3"),
+        ((True, 0, 1), "need an integer h >= 1, got True"),
+        ((1, 0, True), "need an integer g >= 1, got True"),
+        ((2, 0.0, 1), "need an integer m >= 0, got 0.0"),
+        ((2, 1, 2.5), "need an integer g >= 1, got 2.5"),
+        ((0, 0, 0), "need an integer h >= 1, got 0"),
+        ((2, -1, 0), "need an integer g >= 1, got 0"),
+    ],
+)
+def test_hnf_lattice_error_messages(fields, message):
+    with pytest.raises(ValueError) as caught:
+        HnfLattice(*fields)
+    assert str(caught.value) == message
+
+
+def test_hnf_lattice_keywords_and_replace_are_checked():
+    lat = HnfLattice(h=2, m=1, g=3)
+    assert lat == HnfLattice(2, 1, 3) and lat.d == 6
+    assert dataclasses.replace(lat, g=5) == HnfLattice(2, 1, 5)
+    with pytest.raises(ValueError, match=r"^need m < h, got m=2, h=2$"):
+        dataclasses.replace(lat, m=lat.h)
+    with pytest.raises(ValueError, match=r"^need an integer g >= 1, got 0$"):
+        dataclasses.replace(lat, g=0)

@@ -15,7 +15,6 @@ from pillowcase.oracle import (
     lumpsum_check,
     orbit_agreement_check,
     rh_uniqueness_check,
-    sl2_orbit_count,
 )
 from pillowcase.orbi import OrbiPoint
 
@@ -29,23 +28,6 @@ NOT_INTS = (True, 2.0)
 # ---------------------------------------------------------------------------
 # matrix orbit census
 # ---------------------------------------------------------------------------
-
-
-def test_sl2_orbit_count_spot_values():
-    assert sl2_orbit_count(1) == 1
-    assert sl2_orbit_count(7) == 8
-    assert sl2_orbit_count(9) == 13
-
-
-def test_sl2_orbit_count_matches_divisor_sum():
-    for d in range(1, 9):
-        assert sl2_orbit_count(d) == sigma1(d)
-
-
-def test_sl2_orbit_count_range():
-    for d in (0, oracle.SL2_EXHAUSTIVE_MAX + 1, *NOT_INTS):
-        with pytest.raises(ValueError):
-            sl2_orbit_count(d)
 
 
 def test_orbit_agreement_check():

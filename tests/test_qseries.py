@@ -179,6 +179,17 @@ def test_every_builder_stores_fractions():
         assert all(type(c) is Fraction for c in series.coeffs), series
 
 
+@pytest.mark.parametrize(
+    "coeffs, kind",
+    [({5: 1}, "dict"), ({1, 2}, "set"), ((c for c in (1, 2)), "generator"), (3, "int")],
+)
+def test_only_a_tuple_or_a_list_is_read(coeffs, kind):
+    # A dict's keys or a set's members would be read as coefficients; no coercion.
+    with pytest.raises(TypeError) as caught:
+        QSeries(coeffs)
+    assert str(caught.value) == f"need a tuple or a list of coefficients, got {kind}"
+
+
 def test_empty_series_rejected():
     with pytest.raises(ValueError):
         QSeries(())
@@ -240,6 +251,7 @@ def test_equal_values_compare_equal_however_built():
     assert {QSeries((F(6, 4),)), QSeries((F(3, 2),))} == {scale(QSeries((3,)), F(1, 2))}
     assert coefficient(scale(QSeries((2, 4)), F(1, 4)), 1) == 1
     assert QSeries((1, 2)) != QSeries((1, 2, 0))
+    assert QSeries([1, F(1, 2)]) == QSeries((1, F(1, 2)))
 
 
 @given(_series)
