@@ -11,11 +11,17 @@ fixed arguments; the only environment variable honoured is CLI_COLOR (set to
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
+from typing import TYPE_CHECKING
 
-from . import lattice, orbi, oracle, potential, qseries
+# Only what `series` and `sublattices` run is imported here; every other
+# module is imported by the one subcommand that uses it, so a run loads
+# only the code it runs.
+from . import lattice, qseries
+
+if TYPE_CHECKING:
+    from . import orbi
 
 DEFAULT_TRUNC = 20
 DEFAULT_DEGREE_CAP = 10_000
@@ -31,15 +37,16 @@ SERIES_BUILDERS = {
 }
 
 
-# verify's suites in run order: the largest degree each covers and the name
-# of its `oracle` check over d = 1..n.  The check is looked up on `oracle`
-# when it runs, so a patched or wrapped one is the one that runs.
+# verify's suites in run order: the name of the `oracle` constant that is
+# the largest degree each covers, and the name of its check over d = 1..n.
+# Both are looked up on `oracle` when the suite runs, so the limits live
+# only there and a patched or wrapped check is the one that runs.
 VERIFY_SUITES = {
-    "oracle": (oracle.SL2_EXHAUSTIVE_MAX, "orbit_agreement_check"),
-    "parity": (oracle.PARITY_EXHAUSTIVE_MAX, "image_table_check"),
-    "rh": (oracle.RH_EXHAUSTIVE_MAX, "rh_uniqueness_check"),
-    "lumpsum": (oracle.DIVISOR_SUM_MAX, "lumpsum_check"),
-    "closedform": (oracle.DIVISOR_SUM_MAX, "correlator_crosscheck"),
+    "oracle": ("SL2_EXHAUSTIVE_MAX", "orbit_agreement_check"),
+    "parity": ("PARITY_EXHAUSTIVE_MAX", "image_table_check"),
+    "rh": ("RH_EXHAUSTIVE_MAX", "rh_uniqueness_check"),
+    "lumpsum": ("DIVISOR_SUM_MAX", "lumpsum_check"),
+    "closedform": ("DIVISOR_SUM_MAX", "correlator_crosscheck"),
 }
 
 
@@ -51,6 +58,8 @@ def _color(text: str, code: str, fmt: str) -> str:
 
 
 def _dump(obj) -> str:
+    import json
+
     return json.dumps(obj, sort_keys=True)
 
 
@@ -101,6 +110,8 @@ def cmd_series(args) -> int:
 
 
 def cmd_correlators(args) -> int:
+    from . import orbi
+
     series = orbi.correlator_series(args.insertions, args.max_degree)
     labels = [int(p) for p in args.insertions]
     if args.format == "json":
@@ -115,6 +126,8 @@ def cmd_correlators(args) -> int:
 
 
 def cmd_potential(args) -> int:
+    from . import potential
+
     assembled = potential.assemble_potential(args.max_degree)
     if args.compare_st:
         reference = potential.st_reference_potential(args.max_degree)
@@ -152,10 +165,12 @@ def _diff_json(diff) -> dict:
 
 
 def cmd_verify(args) -> int:
+    from . import oracle
+
     suites = VERIFY_SUITES if args.suite == "all" else {args.suite: VERIFY_SUITES[args.suite]}
     records = []
     for suite, (limit, check) in suites.items():
-        n = min(args.max_degree, limit)
+        n = min(args.max_degree, getattr(oracle, limit))
         label = f"{suite} (d <= {n})"
         result = getattr(oracle, check)(n)
         verdict = "PASS" if result.ok else "FAIL"
@@ -193,6 +208,8 @@ class _Parser(argparse.ArgumentParser):
 
 def _insertions(text: str) -> orbi.InsertionTuple:
     # argparse type of --insertions: the core's label rule decides what a corner is.
+    from . import orbi
+
     try:
         return orbi._as_points(int(part) for part in text.split(","))
     except ValueError:

@@ -239,12 +239,28 @@ def test_divisors_match_full_trial_division():
 
 
 def test_sigma1_matches_a_divisor_sieve():
-    n = 10**4
+    n = 10**5
     sieve = [0] * (n + 1)
     for k in range(1, n + 1):
         for multiple in range(k, n + 1, k):
             sieve[multiple] += k
     assert [sigma1(d) for d in range(1, n + 1)] == sieve[1:]
+
+
+@pytest.mark.parametrize(
+    "d",
+    [
+        1,
+        2**16,  # a power of 2 alone: no odd part
+        3**10,  # an odd prime power alone
+        9409,  # 97^2: the trial divisor meets p * p == n
+        99991,  # a prime: the whole odd part is left over
+        99221,  # 313 * 317: a prime cofactor above the last trial divisor
+        99856,  # 2^4 * 79^2
+    ],
+)
+def test_sigma1_where_the_factorisation_branches(d):
+    assert sigma1(d) == sum(divisors(d))
 
 
 def test_hnf_lattice_validation():
