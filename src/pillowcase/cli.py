@@ -63,11 +63,11 @@ def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True)
 
 
-def _print_coeffs(series, fmt: str, header: str, first: int) -> None:
-    # The csv and pretty rows of a series from q^first on; json is per subcommand.
+def _print_coeffs(coeffs: list[str], fmt: str, header: str, first: int) -> None:
+    # csv or pretty rows from q^first on of `qseries.to_json` strings; json is per subcommand.
     if fmt == "pretty":
         print(header)
-    for deg, c in enumerate(series.coeffs[first:], first):
+    for deg, c in enumerate(coeffs[first:], first):
         print(f"{deg},{c}" if fmt == "csv" else f"q^{deg}: {c}")
 
 
@@ -101,27 +101,28 @@ def cmd_sublattices(args) -> int:
 
 
 def cmd_series(args) -> int:
-    series = SERIES_BUILDERS[args.which](args.max_degree)
+    written = qseries.to_json(SERIES_BUILDERS[args.which](args.max_degree))
     if args.format == "json":
-        print(_dump(qseries.to_json(series)))
+        print(_dump(written))
     else:
-        _print_coeffs(series, args.format, f"{args.which}, truncated at q^{series.trunc}", 0)
+        header = f"{args.which}, truncated at q^{written['trunc']}"
+        _print_coeffs(written["coeffs"], args.format, header, 0)
     return 0
 
 
 def cmd_correlators(args) -> int:
     from . import orbi
 
-    series = orbi.correlator_series(args.insertions, args.max_degree)
+    coeffs = qseries.to_json(orbi.correlator_series(args.insertions, args.max_degree))["coeffs"]
     labels = [int(p) for p in args.insertions]
     if args.format == "json":
         records = [
             {"insertions": labels, "degree": d, "count": int(c)}
-            for d, c in enumerate(series.coeffs[1:], 1)
+            for d, c in enumerate(coeffs[1:], 1)
         ]
         print(_dump(records))
     else:
-        _print_coeffs(series, args.format, "insertions: " + ",".join(str(v) for v in labels), 1)
+        _print_coeffs(coeffs, args.format, "insertions: " + ",".join(str(v) for v in labels), 1)
     return 0
 
 
@@ -148,7 +149,7 @@ def cmd_potential(args) -> int:
         print(f"log_term,{assembled.log_term}")
         for mono, series in assembled.terms.items():
             exps = ",".join(str(e) for e in mono.exponents)
-            for deg, c in enumerate(series.coeffs):
+            for deg, c in enumerate(qseries.to_json(series)["coeffs"]):
                 print(f"{exps},{deg},{c}")
     else:
         print(potential.potential_pretty(assembled))

@@ -175,17 +175,13 @@ def compare_potentials(a: Potential, b: Potential) -> list[PotentialDiff]:
 _PRETTY_MAX_TERMS = 4  # nonzero coefficients shown per series before "..."
 
 
-def _series_head(coeffs: tuple[Fraction, ...]) -> str:
+def _series_head(coeffs: list[str]) -> str:
     shown = []
     for i, c in enumerate(coeffs):
-        if c == 0:
+        if c == "0":
             continue
-        if i == 0:
-            shown.append(str(c))
-        elif i == 1:
-            shown.append(f"{c}*q" if c != 1 else "q")
-        else:
-            shown.append(f"{c}*q^{i}" if c != 1 else f"q^{i}")
+        q = "q" if i == 1 else f"q^{i}"
+        shown.append(c if i == 0 else q if c == "1" else f"{c}*{q}")
         if len(shown) == _PRETTY_MAX_TERMS:
             shown.append("...")
             break
@@ -199,7 +195,8 @@ def potential_pretty(p: Potential) -> str:
     for mono, series in reversed(p.terms.items()):
         families.setdefault(series, []).append(mono)
     for series, monos in families.items():
-        lines.append(f"  + ({' + '.join(map(str, monos))}) * [{_series_head(series.coeffs)}]")
+        head = _series_head(qseries.to_json(series)["coeffs"])
+        lines.append(f"  + ({' + '.join(map(str, monos))}) * [{head}]")
     return "\n".join(lines)
 
 

@@ -4,11 +4,12 @@ A :class:`QSeries` stores c_0..c_N as plain-int numerators over one positive
 denominator, in lowest terms: gcd(den, num_0, ..., num_N) == 1, so equal
 series have equal fields and hash alike however they were built.  Arithmetic
 is integer arithmetic on the numerators followed by that one gcd; no
-coefficient is converted along the way.  `fractions.Fraction` appears only
-where a coefficient leaves this module: the `coeffs` tuple (built anew on each
-read, so read it once or use :func:`coefficient`), :func:`coefficient` and
-:func:`to_json`.  The public constructor takes a tuple or a list of ints and
-Fractions and refuses anything else.
+coefficient is converted along the way.  A `fractions.Fraction` is made only
+when a caller reads `coeffs` (built anew on each read, so read it once or use
+:func:`coefficient`) or :func:`coefficient`.  :func:`to_json` makes none: it
+writes each coefficient from the numerators as the exact string str(Fraction)
+gives, and every writer in the package prints those strings.  The public
+constructor takes a tuple or a list of ints and Fractions and refuses anything else.
 
 Truncation is part of the value: arithmetic carries trunc = min of the
 operand truncations, and reading a coefficient beyond the truncation is an

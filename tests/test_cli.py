@@ -121,6 +121,19 @@ def test_every_series_builder_matches_its_closed_form_at_2000(capsys):
         assert json.loads(out) == {"coeffs": coeffs, "trunc": n}, which
 
 
+def _column(out: str, sep: str) -> list[str]:
+    return [line.rsplit(sep, 1)[1] for line in out.splitlines()]
+
+
+@pytest.mark.parametrize("which", tuple(cli.SERIES_BUILDERS))
+def test_series_rows_print_what_str_fraction_prints(capsys, which):
+    # Past the golden N = 40: the printed strings are str() of the Fractions.
+    expected = [str(c) for c in cli.SERIES_BUILDERS[which](97).coeffs]
+    argv = ["series", "--which", which, "--max-degree", "97", "--format"]
+    assert _column(_run(capsys, argv + ["csv"])[1], ",") == expected
+    assert _column(_run(capsys, argv + ["pretty"])[1].split("\n", 1)[1], ": ") == expected
+
+
 def test_series_usage_errors(capsys):
     assert _run(capsys, ["series", "--which", "D", "--max-degree", "4"])[0] == 2
     assert _run(capsys, ["series", "--which", "f", "--max-degree", "-1"])[0] == 2
@@ -147,6 +160,12 @@ def test_correlators_json_round_trip(capsys):
     assert [r["degree"] for r in records] == list(range(1, 9))
     assert all(r["insertions"] == [2, 2, 3, 3] for r in records)
     assert [r["count"] for r in records] == [int(c) for c in series.coeffs[1:]]
+
+
+def test_correlators_rows_print_what_str_fraction_prints(capsys):
+    argv = ["correlators", "--insertions", "1,2,3,4", "--max-degree", "97", "--format", "csv"]
+    expected = [str(c) for c in correlator_series((1, 2, 3, 4), 97).coeffs[1:]]
+    assert _column(_run(capsys, argv)[1], ",") == expected
 
 
 def test_correlators_usage_errors(capsys):
@@ -191,6 +210,17 @@ def test_potential_csv_deterministic(capsys):
     second = _run(capsys, ["potential", "--max-degree", "5", "--format", "csv"])
     assert first == second
     assert first[1].splitlines()[0] == "log_term,1/2"
+
+
+def test_potential_csv_prints_what_str_fraction_prints(capsys):
+    assembled = potential.assemble_potential(97)
+    expected = [f"log_term,{assembled.log_term}"] + [
+        f"{','.join(map(str, mono.exponents))},{deg},{c}"
+        for mono, series in assembled.terms.items()
+        for deg, c in enumerate(series.coeffs)
+    ]
+    argv = ["potential", "--max-degree", "97", "--format", "csv"]
+    assert _run(capsys, argv)[1].splitlines() == expected
 
 
 def test_potential_usage_errors(capsys):

@@ -21,6 +21,7 @@ from itertools import combinations_with_replacement
 import pytest
 
 from pillowcase import cli
+from pillowcase.qseries import QSeries
 
 N = "40"
 FORMATS = ("pretty", "csv", "json")
@@ -196,6 +197,20 @@ GOLDEN = {
 @pytest.mark.parametrize("case", CASES)
 def test_stdout_is_byte_identical(case, monkeypatch):
     monkeypatch.delenv("CLI_COLOR", raising=False)
+    assert _digest(case) == GOLDEN[case]
+
+
+def _coeffs_read(series):
+    raise AssertionError("a writer read QSeries.coeffs; print qseries.to_json strings instead")
+
+
+# Every case that prints a series (verify prints none, --compare-st prints MATCH).
+@pytest.mark.parametrize(
+    "case", [case for case in CASES if not case.startswith("verify") and "--compare-st" not in case]
+)
+def test_writers_print_only_to_json_strings(case, monkeypatch):
+    monkeypatch.delenv("CLI_COLOR", raising=False)
+    monkeypatch.setattr(QSeries, "coeffs", property(_coeffs_read))
     assert _digest(case) == GOLDEN[case]
 
 

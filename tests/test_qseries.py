@@ -4,7 +4,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from pillowcase import cli
@@ -26,6 +26,7 @@ from pillowcase.qseries import (
     scale,
     sub,
     substitute_power,
+    to_json,
     zero_series,
 )
 
@@ -259,3 +260,13 @@ def test_scale_matches_constant_multiplication(a):
     assert scale(a, F(3, 7)) == mul(a, constant_series(F(3, 7), a.trunc))
     assert add(a, zero_series(a.trunc)) == a
 
+
+# Ints and Fractions of any size and sign, zero included, so the common
+# denominator to_json reduces each coefficient against can be large.
+_exact = st.one_of(st.integers(), st.fractions(), st.fractions(max_denominator=10**40))
+
+
+@example([F(-1, 24), 0, F(10**30 + 1, 10**29), -7, F(-5, 2**64)])
+@given(st.lists(_exact, min_size=1, max_size=12))
+def test_to_json_writes_what_str_fraction_writes(cs):
+    assert to_json(QSeries(cs))["coeffs"] == [str(Fraction(c)) for c in cs]
