@@ -12,7 +12,7 @@ division.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import total_ordering
 from math import gcd, isqrt
 
 
@@ -25,23 +25,59 @@ def _need_int(name: str, value, minimum: int | None = None) -> int:
     return value
 
 
-@dataclass(frozen=True)
-class Basis2:
+class _Value:
+    # A frozen value: the fields annotated in the class body, set once by the
+    # class's checked __init__ straight into __dict__.  == and hash go by the
+    # field values; copies and pickles call the class, so pass its checks.
+
+    def __init_subclass__(cls, order: bool = False) -> None:
+        cls.__match_args__ = tuple(cls.__annotations__)
+        if order:  # <, <=, > and >= by the field values, between two of cls
+            cls.__lt__ = _Value._lt
+            total_ordering(cls)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__match_args__])
+
+    def _lt(self, other):
+        return self._values() < other._values() if type(other) is type(self) else NotImplemented
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class Basis2(_Value):
     """Ordered pair of integer vectors, coordinates taken in {1, sqrt(-1)}."""
 
     v1: tuple[int, int]
     v2: tuple[int, int]
 
-    def __post_init__(self) -> None:
-        for name, vector in (("v1", self.v1), ("v2", self.v2)):
+    def __init__(self, v1: tuple[int, int], v2: tuple[int, int]) -> None:
+        for name, vector in (("v1", v1), ("v2", v2)):
             if type(vector) is not tuple or len(vector) != 2:
                 raise ValueError(f"need a pair of integers {name}, got {vector!r}")
             for entry in vector:
                 _need_int(f"{name} entry", entry)
+        self.__dict__.update(v1=v1, v2=v2)
 
 
-@dataclass(frozen=True, order=True, init=False)
-class HnfLattice:
+class HnfLattice(_Value, order=True):
     """Canonical triple (h, m, g): basis (h, 0), (m, g); index d = h*g."""
 
     h: int
@@ -56,8 +92,8 @@ class HnfLattice:
             _need_int("g", g, 1)
             if _need_int("m", m, 0) >= h:
                 raise ValueError(f"need m < h, got m={m}, h={h}")
-        # A frozen dataclass refuses attribute assignment, so fill the dict.
-        self.__dict__.update(h=h, m=m, g=g)
+        d = self.__dict__
+        d["h"], d["m"], d["g"] = h, m, g
 
     @property
     def d(self) -> int:

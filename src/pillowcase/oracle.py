@@ -11,12 +11,11 @@ on purpose.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 
 from . import orbi
-from .lattice import HnfLattice
+from .lattice import HnfLattice, _Value
 from .orbi import OrbiPoint
 
 # Exhaustive ranges.  The matrix census scans the (2d+1)^3 choices of
@@ -33,13 +32,16 @@ PARITY_EXHAUSTIVE_MAX = 400
 DIVISOR_SUM_MAX = 1000
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(_Value):
     """Verdict of one check; truthiness is the verdict."""
 
     ok: bool
-    counterexample: dict | None = None
-    details: dict = field(default_factory=dict)
+    counterexample: dict | None
+    details: dict
+
+    def __init__(self, ok: bool, counterexample: dict | None = None, details: dict | None = None):
+        details = {} if details is None else details
+        self.__dict__.update(ok=ok, counterexample=counterexample, details=details)
 
     def __bool__(self) -> bool:
         return self.ok
@@ -226,9 +228,8 @@ def image_table_check(dmax: int) -> CheckResult:
 # ---------------------------------------------------------------------------
 
 
-def _closed_form_count(ins, d: int, sigma: list[int]):
-    # sigma is a divisor-sum table reaching at least d.
-    shape = sorted(tuple(ins).count(p) for p in set(ins))
+def _closed_form_count(shape: list[int], d: int, sigma: list[int]):
+    # shape: the class's sorted multiplicities; sigma: divisor sums reaching d.
     if shape == [1, 1, 1, 1]:
         return sigma[d] if d % 2 else 0
     if shape == [4]:
@@ -248,10 +249,14 @@ def correlator_crosscheck(dmax: int) -> CheckResult:
     """
     _need_degree(dmax, DIVISOR_SUM_MAX)
     sigma = _divisor_sums(dmax)
+    classes = [
+        (ins, sorted(ins.count(p) for p in set(ins)))
+        for ins in combinations_with_replacement(tuple(OrbiPoint), 4)
+    ]
     checked = 0
     for d in range(1, dmax + 1):
-        for ins in combinations_with_replacement(tuple(OrbiPoint), 4):
-            expected = _closed_form_count(ins, d, sigma)
+        for ins, shape in classes:
+            expected = _closed_form_count(shape, d, sigma)
             got = orbi.correlator(ins, d)
             checked += 1
             if got != expected:
@@ -364,11 +369,14 @@ def rh_uniqueness_check(dmax: int) -> CheckResult:
     simple); it stops at the first degree with another profile.
     """
     _need_degree(dmax, RH_EXHAUSTIVE_MAX)
+    marked = [
+        (assignment, [tuple(i for i in range(4) if assignment[i] == t) for t in range(4)])
+        for assignment in product(range(4), repeat=4)
+    ]
     solutions = 0
     for d in range(1, dmax + 1):
         by_size = {n: _fiber_solutions(n, d) for n in range(5)}
-        for assignment in product(range(4), repeat=4):
-            fibers = [tuple(i for i in range(4) if assignment[i] == t) for t in range(4)]
+        for assignment, fibers in marked:
             for combo in _profiles_within([by_size[len(f)] for f in fibers], 2 * d - 2):
                 solutions += 1
                 if not (combo[0][3] and combo[1][3] and combo[2][3] and combo[3][3]):

@@ -19,29 +19,28 @@ constructions are provided:
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import factorial
 from types import MappingProxyType
 
 from . import orbi, qseries
-from .lattice import _need_int
+from .lattice import _need_int, _Value
 from .orbi import OrbiPoint
 from .qseries import QSeries, _as_fraction
 
 
-@dataclass(frozen=True, order=True)
-class Monomial:
+class Monomial(_Value, order=True):
     """Exponents (e0, e1, e2, e3, e4) of t_0^e0 t_1^e1 ... t_4^e4."""
 
     exponents: tuple[int, int, int, int, int]
 
-    def __post_init__(self) -> None:
-        if type(self.exponents) is not tuple or len(self.exponents) != 5:
-            raise ValueError(f"need a tuple of 5 exponents, got {self.exponents!r}")
-        for e in self.exponents:
+    def __init__(self, exponents: tuple[int, int, int, int, int]) -> None:
+        if type(exponents) is not tuple or len(exponents) != 5:
+            raise ValueError(f"need a tuple of 5 exponents, got {exponents!r}")
+        for e in exponents:
             _need_int("exponent", e, 0)
+        self.__dict__["exponents"] = exponents
 
     def __str__(self) -> str:
         parts = []
@@ -53,8 +52,7 @@ class Monomial:
         return "*".join(parts) if parts else "1"
 
 
-@dataclass(frozen=True)
-class Potential:
+class Potential(_Value):
     """log_term * t_0^2 log q plus a read-only, sorted map of monomials to series.
 
     Identically zero series are dropped at construction, so two potentials
@@ -65,22 +63,22 @@ class Potential:
     terms: Mapping[Monomial, QSeries]
     trunc: int
 
-    def __post_init__(self) -> None:
-        _need_int("trunc", self.trunc, 0)
-        for mono, series in self.terms.items():
+    def __init__(self, log_term: Fraction, terms: Mapping[Monomial, QSeries], trunc: int) -> None:
+        _need_int("trunc", trunc, 0)
+        for mono, series in terms.items():
             if type(mono) is not Monomial or type(series) is not QSeries:
                 raise TypeError(f"a term maps a Monomial to a QSeries, got {mono!r}: {series!r}")
-            if series.trunc != self.trunc:
+            if series.trunc != trunc:
                 raise ValueError(
-                    f"series truncation {series.trunc} does not match potential {self.trunc}"
+                    f"series truncation {series.trunc} does not match potential {trunc}"
                 )
-        blank = qseries.zero_series(self.trunc)
-        kept = {mono: series for mono, series in sorted(self.terms.items()) if series != blank}
-        object.__setattr__(self, "log_term", _as_fraction(self.log_term))
-        object.__setattr__(self, "terms", MappingProxyType(kept))
+        blank = qseries.zero_series(trunc)
+        kept = {mono: series for mono, series in sorted(terms.items()) if series != blank}
+        log_term = _as_fraction(log_term)
+        self.__dict__.update(log_term=log_term, terms=MappingProxyType(kept), trunc=trunc)
 
     def __hash__(self) -> int:
-        # The generated hash would hash the mapping proxy, which cannot be hashed.
+        # The shared field-value hash would hash the mapping proxy, which cannot be hashed.
         return hash((self.log_term, tuple(self.terms.items()), self.trunc))
 
     def __reduce__(self):
@@ -135,14 +133,16 @@ def st_reference_potential(trunc: int) -> Potential:
     return Potential(Fraction(1, 2), terms, trunc)
 
 
-@dataclass(frozen=True)
-class PotentialDiff:
+class PotentialDiff(_Value):
     """One coefficient discrepancy; monomial None flags the log term."""
 
     monomial: Monomial | None
     degree: int | None
     lhs: Fraction
     rhs: Fraction
+
+    def __init__(self, monomial: Monomial | None, degree: int | None, lhs: Fraction, rhs: Fraction):
+        self.__dict__.update(monomial=monomial, degree=degree, lhs=lhs, rhs=rhs)
 
 
 def compare_potentials(a: Potential, b: Potential) -> list[PotentialDiff]:

@@ -16,6 +16,9 @@ import pytest
 SRC = Path(__file__).resolve().parents[1] / "src"
 # What every subcommand loads: the CLI and the two modules it imports at the top.
 BASE = {"cli", "lattice", "qseries"}
+# Standard-library modules no subcommand may load: dataclasses alone pulls in
+# inspect, ast, dis and tokenize, a cost every run would pay at start-up.
+HEAVY = ("dataclasses", "inspect")
 
 
 def _run(code: str) -> str:
@@ -28,14 +31,15 @@ def _run(code: str) -> str:
 
 
 def _loaded_after(argv: list[str]) -> set[str]:
-    # The names of the pillowcase submodules loaded once cli.main(argv) returns.
+    # The names of the pillowcase submodules, and of any HEAVY module, loaded
+    # once cli.main(argv) returns.
     out = _run(
         "import contextlib, io, sys\n"
         "from pillowcase import cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    code = cli.main({argv!r})\n"
         "assert code == 0, code\n"
-        "print(' '.join(m for m in sys.modules if m.startswith('pillowcase.')))\n"
+        f"print(' '.join(m for m in sys.modules if m.startswith('pillowcase.') or m in {HEAVY!r}))\n"
     )
     return {name.removeprefix("pillowcase.") for name in out.split()}
 
