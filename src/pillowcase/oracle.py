@@ -12,6 +12,7 @@ on purpose.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from itertools import combinations_with_replacement, product
 
 from . import orbi
@@ -38,6 +39,7 @@ class CheckResult(_Value):
     ok: bool
     counterexample: dict | None
     details: dict
+    __hash__ = None  # details is a dict: compared by the fields, never hashed
 
     def __init__(self, ok: bool, counterexample: dict | None = None, details: dict | None = None):
         details = {} if details is None else details
@@ -191,12 +193,10 @@ def image_table_check(dmax: int) -> CheckResult:
     with both the parity table above and the main classification.
     """
     _need_degree(dmax, PARITY_EXHAUSTIVE_MAX)
-    corners: dict[tuple[int, int], OrbiPoint] = {}  # doubled coordinates -> corner
 
-    def corner(a: int, b: int) -> OrbiPoint:
-        if (a, b) not in corners:
-            corners[a, b] = _corner_of(Fraction(a, 2), Fraction(b, 2))
-        return corners[a, b]
+    @cache
+    def corner(a: int, b: int) -> OrbiPoint:  # doubled coordinates -> corner
+        return _corner_of(Fraction(a, 2), Fraction(b, 2))
 
     lattices = 0
     for d in range(1, dmax + 1):
@@ -306,14 +306,12 @@ def lumpsum_check(dmax: int) -> CheckResult:
 # ---------------------------------------------------------------------------
 
 
-def _partitions(n: int, max_part: int | None = None):
-    # non-increasing positive parts
+def _partitions(n: int, max_part: int):
+    # non-increasing positive parts, none above max_part
     if n == 0:
         yield ()
         return
-    if max_part is None or max_part > n:
-        max_part = n
-    for first in range(max_part, 0, -1):
+    for first in range(min(max_part, n), 0, -1):
         for rest in _partitions(n - first, first):
             yield (first,) + rest
 
@@ -326,7 +324,8 @@ def _fiber_solutions(n_marked: int, d: int):
         odd_total = sum(2 * a + 1 for a in a_tuple)
         if odd_total > d or (d - odd_total) % 2:
             continue
-        for e_tuple in _partitions((d - odd_total) // 2):
+        rest = (d - odd_total) // 2
+        for e_tuple in _partitions(rest, rest):
             excess = sum(2 * a for a in a_tuple) + sum(2 * e - 1 for e in e_tuple)
             trivial = all(a == 0 for a in a_tuple) and all(e == 1 for e in e_tuple)
             out.append((a_tuple, e_tuple, excess, trivial))
@@ -335,24 +334,17 @@ def _fiber_solutions(n_marked: int, d: int):
 
 def _profiles_within(fiber_lists: list[list], budget: int):
     # The combinations of product(*fiber_lists), in product order, whose
-    # excesses (entry 2) sum to at most budget.  A prefix is dropped once its
-    # excess plus the least excess of every later list exceeds the budget, so
-    # no admitted combination is lost whatever order the lists are in.
+    # excesses (entry 2) sum to at most budget.  The other entries of an
+    # admitted combination add at least their lists' least excesses (floors),
+    # so no entry above its own floor plus the slack is in one.  Dropping
+    # those first keeps each list's order, and with it the product order; an
+    # empty list admits nothing.
     if not all(fiber_lists):
-        return
-    floors = [0] * (len(fiber_lists) + 1)
-    for i in reversed(range(len(fiber_lists))):
-        floors[i] = floors[i + 1] + min(sol[2] for sol in fiber_lists[i])
-
-    def walk(i: int, prefix: tuple, excess: int):
-        if i == len(fiber_lists):
-            yield prefix
-            return
-        for sol in fiber_lists[i]:
-            if excess + sol[2] + floors[i + 1] <= budget:
-                yield from walk(i + 1, prefix + (sol,), excess + sol[2])
-
-    yield from walk(0, (), 0)
+        return ()
+    floors = [min(sol[2] for sol in sols) for sols in fiber_lists]
+    slack = budget - sum(floors)
+    kept = [[sol for sol in sols if sol[2] <= floor + slack] for sols, floor in zip(fiber_lists, floors)]
+    return (combo for combo in product(*kept) if sum(sol[2] for sol in combo) <= budget)
 
 
 def rh_uniqueness_check(dmax: int) -> CheckResult:
@@ -362,11 +354,12 @@ def rh_uniqueness_check(dmax: int) -> CheckResult:
     to the four corners and every compatible ramification profile: each
     fiber must sum to d, and the total ramification excess is capped by the
     Euler-characteristic count 2 = 2d - excess - (extra branching >= 0).
-    The profiles are walked fiber by fiber in product order, and a partial
-    profile is dropped as soon as no choice for the remaining fibers keeps
-    the excess within the cap.  The check passes when every admissible
-    profile is the unramified one (all marked orders 1, all other preimages
-    simple); it stops at the first degree with another profile.
+    The profiles are the product of the four fibers' choices, in product
+    order, filtered by that cap.  Before the product is taken, each fiber
+    drops every choice that passes the cap even beside the least excess of
+    each other fiber.  The check passes when every admissible profile is the
+    unramified one (all marked orders 1, all other preimages simple); it
+    stops at the first degree with another profile.
     """
     _need_degree(dmax, RH_EXHAUSTIVE_MAX)
     marked = [

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import ast
 import json
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -268,3 +270,58 @@ def test_rh_range():
     for d in (0, oracle.RH_EXHAUSTIVE_MAX + 1, *NOT_INTS):
         with pytest.raises(ValueError):
             rh_uniqueness_check(d)
+
+
+# ---------------------------------------------------------------------------
+# independence
+# ---------------------------------------------------------------------------
+
+# What oracle.py may take from the package it checks: the objects under test
+# and the value classes they use.  Whole modules may be imported only to read
+# the listed attributes.
+ORACLE_MAY_IMPORT = {
+    ("lattice", "Basis2"),
+    ("lattice", "HnfLattice"),
+    ("lattice", "_Value"),
+    ("lattice", "enumerate_sublattices"),
+    ("lattice", "hnf_reduce"),
+    ("lattice", "sigma1"),
+    ("orbi", "OrbiPoint"),
+}
+ORACLE_MAY_READ = {"orbi": {"classify_images", "correlator", "total_count_series"}}
+
+
+def test_oracle_takes_only_its_objects_under_test_from_the_package():
+    """The oracle's hard limit, read off its source with `ast`.
+
+    Function-local imports count as well.  A check routed through, say,
+    `lattice.divisors` or `orbi._census` would check that code against
+    itself, and this test fails.  Widening an allowlist above needs a
+    CHANGES.md line that names the new object under test.
+    """
+    tree = ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))
+    nodes = list(ast.walk(tree))
+    imported, modules = set(), {}  # (module, name); bound name -> whole module
+    for node in nodes:
+        if isinstance(node, ast.Import):
+            assert all(alias.name.split(".")[0] != "pillowcase" for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and (node.level or node.module.split(".")[0] == "pillowcase"):
+            assert node.level <= 1
+            module = node.module if node.level else node.module.partition(".")[2]
+            for alias in node.names:
+                if module:
+                    imported.add((module, alias.name))
+                else:
+                    modules[alias.asname or alias.name] = alias.name
+    assert not ({module for module, _ in imported} | set(modules.values())) & {"qseries", "potential"}
+    assert imported <= ORACLE_MAY_IMPORT
+    assert set(modules.values()) <= set(ORACLE_MAY_READ)
+    for bound, module in modules.items():
+        reads = [
+            node.attr
+            for node in nodes
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == bound
+        ]
+        assert set(reads) <= ORACLE_MAY_READ[module]
+        # the module's name is used only to read one of those attributes
+        assert sum(isinstance(node, ast.Name) and node.id == bound for node in nodes) == len(reads)

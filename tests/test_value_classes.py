@@ -1,14 +1,16 @@
-"""The six value classes: frozen, compared and hashed by their fields.
+"""The six value classes: frozen and compared by their fields.
 
 `Basis2`, `HnfLattice`, `Monomial`, `Potential`, `PotentialDiff` and
-`CheckResult` print and hash as they always have, and every copy or unpickle
-is rebuilt through the class's checked constructor.
+`CheckResult` print as they always have.  All but `CheckResult` hash by their
+fields as they always have; `CheckResult` holds a dict and cannot be hashed.
+Every copy or unpickle is rebuilt through the class's checked constructor.
 """
 
 from __future__ import annotations
 
 import copy
 import pickle
+from collections.abc import Hashable
 from fractions import Fraction
 
 import pytest
@@ -57,8 +59,9 @@ def test_check_result_prints_its_fields_and_cannot_be_hashed():
         "CheckResult(ok=True, counterexample=None, details={'degrees': 3})"
     )
     assert CheckResult(True).details is not CheckResult(True).details
-    with pytest.raises(TypeError, match="unhashable type: 'dict'"):
+    with pytest.raises(TypeError, match="unhashable type: 'CheckResult'"):
         hash(verdict)
+    assert not isinstance(verdict, Hashable)
 
 
 @pytest.mark.parametrize(
