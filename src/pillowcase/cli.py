@@ -13,15 +13,12 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import TYPE_CHECKING
 
-# Only what `series` and `sublattices` run is imported here; every other
-# module is imported by the one subcommand that uses it, so a run loads
-# only the code it runs.
+# `sublattices` runs `lattice`; `qseries` is imported here because
+# SERIES_BUILDERS holds its functions for argparse, the tests and the tracer.
+# Every other module is imported by the one subcommand that uses it, so a
+# run loads only the code it runs.
 from . import lattice, qseries
-
-if TYPE_CHECKING:
-    from . import orbi
 
 DEFAULT_TRUNC = 20
 DEFAULT_DEGREE_CAP = 10_000
@@ -207,7 +204,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"error: {message}\n")
 
 
-def _insertions(text: str) -> orbi.InsertionTuple:
+def _insertions(text: str) -> tuple:
     # argparse type of --insertions: the core's label rule decides what a corner is.
     from . import orbi
 

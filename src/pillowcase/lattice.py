@@ -99,9 +99,6 @@ class HnfLattice(_Value, order=True):
     def d(self) -> int:
         return self.h * self.g
 
-    def basis(self) -> Basis2:
-        return Basis2((self.h, 0), (self.m, self.g))
-
     def to_json(self) -> dict:
         return {"h": self.h, "m": self.m, "g": self.g, "d": self.d}
 

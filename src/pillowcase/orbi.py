@@ -45,36 +45,27 @@ POINT_BY_COSET = {c: p for p, c in COSET.items()}
 # Images of (2, 3, 4) under each reordering of the three free corners.
 MARKING_PERMUTATIONS: tuple[tuple[int, int, int], ...] = tuple(permutations((2, 3, 4)))
 
-# Translation by a half period permutes the corners; keys name the period.
-TRANSLATION_COSETS: dict[str, tuple[int, int]] = {
-    "half": (1, 0),        # shift by 1/2
-    "half_plus": (1, 1),   # shift by (1 + sqrt(-1))/2
-    "half_i": (0, 1),      # shift by sqrt(-1)/2
+# Translating by the half period whose doubled coordinates are a corner's
+# coset adds that coset to every corner's coset mod 2, so it carries the
+# corner to X1 (and X1 to the corner: each translation is an involution).
+_TO_X1 = {
+    q: {p: POINT_BY_COSET[(a + ca) % 2, (b + cb) % 2] for p, (a, b) in COSET.items()}
+    for q, (ca, cb) in COSET.items()
 }
-
-
-def _translation(coset: tuple[int, int]) -> dict[OrbiPoint, OrbiPoint]:
-    # Translating by the half period with doubled coordinates `coset` adds
-    # it to every corner's coset mod 2.
-    ca, cb = coset
-    return {
-        p: POINT_BY_COSET[((a + ca) % 2, (b + cb) % 2)] for p, (a, b) in COSET.items()
-    }
 
 
 def translate_action(name: str) -> dict[OrbiPoint, OrbiPoint]:
     """Corner permutation induced by translating the torus by a half period.
 
-    Each of the three translations is a product of two disjoint swaps and
-    together with the identity they form a Klein four group.
+    The name says the period: "half" is 1/2, "half_plus" (1 + sqrt(-1))/2 and
+    "half_i" sqrt(-1)/2, carrying X1 to X2, X3 and X4 in turn.  Each of the
+    three translations is a product of two disjoint swaps and together with
+    the identity they form a Klein four group.
     """
-    if name not in TRANSLATION_COSETS:
+    corner = {"half": OrbiPoint.X2, "half_plus": OrbiPoint.X3, "half_i": OrbiPoint.X4}.get(name)
+    if corner is None:
         raise ValueError(f"unknown translation {name!r}")
-    return _translation(TRANSLATION_COSETS[name])
-
-
-# Translation by a corner's own coset carries that corner to X1.
-_TO_X1 = {p: _translation(c) for p, c in COSET.items()}
+    return dict(_TO_X1[corner])
 
 
 def classify_images(lat: HnfLattice) -> tuple[OrbiPoint, OrbiPoint, OrbiPoint]:
@@ -98,9 +89,6 @@ _IMAGES_BY_PARITY = {
 }
 
 
-_POINT_BY_LABEL = {p.value: p for p in OrbiPoint}
-
-
 def _as_points(ins) -> InsertionTuple:
     # OrbiPoint members or plain ints 1..4: a bool or a float is refused, not
     # read as the corner it equals, so a tuple passes as is only when its
@@ -109,9 +97,9 @@ def _as_points(ins) -> InsertionTuple:
         if type(ins[0]) is type(ins[1]) is type(ins[2]) is type(ins[3]) is OrbiPoint:
             return ins
     pts = tuple(ins)
-    if len(pts) != 4 or not all(type(p) in (int, OrbiPoint) and p in _POINT_BY_LABEL for p in pts):
+    if len(pts) != 4 or not all(type(p) in (int, OrbiPoint) and 1 <= p <= 4 for p in pts):
         raise ValueError(f"need 4 insertion points, each an OrbiPoint or an int 1..4, got {pts!r}")
-    return tuple(_POINT_BY_LABEL[p] for p in pts)
+    return tuple(map(OrbiPoint, pts))
 
 
 # Counting happens with the first marked corner pinned over X1; the count is

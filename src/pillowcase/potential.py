@@ -27,7 +27,7 @@ from types import MappingProxyType
 from . import orbi, qseries
 from .lattice import _need_int, _Value
 from .orbi import OrbiPoint
-from .qseries import QSeries, _as_fraction
+from .qseries import QSeries, _ratio
 
 
 class Monomial(_Value, order=True):
@@ -74,7 +74,7 @@ class Potential(_Value):
                 )
         blank = qseries.zero_series(trunc)
         kept = {mono: series for mono, series in sorted(terms.items()) if series != blank}
-        log_term = _as_fraction(log_term)
+        log_term = Fraction(*_ratio(log_term))
         self.__dict__.update(log_term=log_term, terms=MappingProxyType(kept), trunc=trunc)
 
     def __hash__(self) -> int:

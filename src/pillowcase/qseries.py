@@ -31,8 +31,6 @@ from operator import add as _int_add, sub as _int_sub
 
 from .lattice import _need_int, sigma1
 
-Rational = Fraction | int
-
 
 def _ratio(value) -> tuple[int, int]:
     # Int or Fraction only: a float or a bool is inexact or ambiguous, and no
@@ -42,10 +40,6 @@ def _ratio(value) -> tuple[int, int]:
     if type(value) is Fraction:
         return value.numerator, value.denominator
     raise TypeError(f"need an int or a Fraction, got {type(value).__name__} {value!r}")
-
-
-def _as_fraction(value) -> Fraction:
-    return Fraction(*_ratio(value))
 
 
 class QSeries:
@@ -109,7 +103,7 @@ def zero_series(trunc: int) -> QSeries:
     return constant_series(0, trunc)
 
 
-def constant_series(value: Rational, trunc: int) -> QSeries:
+def constant_series(value: Fraction | int, trunc: int) -> QSeries:
     n, d = _ratio(value)
     return _series((n,) + (0,) * _need_int("trunc", trunc, 0), d)
 
@@ -142,7 +136,7 @@ def sub(a: QSeries, b: QSeries) -> QSeries:
     return _combine(_int_sub, a, b)
 
 
-def scale(a: QSeries, r: Rational) -> QSeries:
+def scale(a: QSeries, r: Fraction | int) -> QSeries:
     n, d = _ratio(r)
     return _series([n * x for x in a._num], a._den * d)
 

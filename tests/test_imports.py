@@ -21,30 +21,31 @@ BASE = {"cli", "lattice", "qseries"}
 HEAVY = ("dataclasses", "inspect")
 
 
-def _run(code: str) -> str:
+def _run(code: str, *flags: str) -> str:
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+        [sys.executable, *flags, "-c", code], capture_output=True, text=True, env=env, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 
 
-def _loaded_after(argv: list[str]) -> set[str]:
-    # The names of the pillowcase submodules, and of any HEAVY module, loaded
-    # once cli.main(argv) returns.
+def _loaded_after(argv: list[str], *flags: str, watch=HEAVY) -> set[str]:
+    # The names of the pillowcase submodules, and of any module in `watch`,
+    # loaded once cli.main(argv) returns.
     out = _run(
         "import contextlib, io, sys\n"
         "from pillowcase import cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    code = cli.main({argv!r})\n"
         "assert code == 0, code\n"
-        f"print(' '.join(m for m in sys.modules if m.startswith('pillowcase.') or m in {HEAVY!r}))\n"
+        f"print(' '.join(m for m in sys.modules if m.startswith('pillowcase.') or m in {watch!r}))\n",
+        *flags,
     )
     return {name.removeprefix("pillowcase.") for name in out.split()}
 
 
-@pytest.mark.parametrize(
+CASES = pytest.mark.parametrize(
     "argv, modules",
     [
         (["series", "--which", "f2", "--max-degree", "8", "--format", "json"], BASE),
@@ -56,8 +57,18 @@ def _loaded_after(argv: list[str]) -> set[str]:
     ],
     ids=["series", "sublattices", "correlators", "potential", "verify"],
 )
+
+
+@CASES
 def test_a_subcommand_loads_only_the_modules_it_runs(argv, modules):
     assert _loaded_after(argv) == modules
+
+
+@CASES
+def test_a_subcommand_loads_no_typing_without_site(argv, modules):
+    # Under -S nothing but the interpreter's own start-up runs before the
+    # CLI, so `typing` in sys.modules would be the package's import.
+    assert _loaded_after(argv, "-S", watch=("typing",)) == modules
 
 
 def test_importing_the_package_loads_no_submodule():

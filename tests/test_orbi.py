@@ -93,6 +93,17 @@ def test_translate_action_unknown_name():
         translate_action("whole")
 
 
+def test_translate_action_returns_a_fresh_dict():
+    # The rows are shared with the X1-first normalisation; a caller that
+    # edits its copy must not reach them.
+    action = translate_action("half")
+    expected = dict(action)
+    action.update({p: X1 for p in OrbiPoint})
+    assert translate_action("half") == expected
+    assert translate_action("half") is not translate_action("half")
+    assert correlator((2, 2, 3, 3), 6) == 8
+
+
 # ---------------------------------------------------------------------------
 # four-point counts
 # ---------------------------------------------------------------------------
