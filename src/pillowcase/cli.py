@@ -3,9 +3,8 @@
 Subcommands: sublattices, series, correlators, potential, verify.  Exit
 codes: 0 on success, 1 when a verification finds a counterexample, 2 on
 usage errors, 141 (the status of a process killed by SIGPIPE) when the
-reader closes stdout early, as `| head` does.  Output is deterministic for
-fixed arguments; the only environment variable honoured is CLI_COLOR (set to
-1 for coloured pretty output), everything else is flags.
+reader closes stdout early, as `| head` does.  Output depends on the
+arguments alone: no env variable is read.
 """
 
 from __future__ import annotations
@@ -45,13 +44,6 @@ VERIFY_SUITES = {
     "lumpsum": ("DIVISOR_SUM_MAX", "lumpsum_check"),
     "closedform": ("DIVISOR_SUM_MAX", "correlator_crosscheck"),
 }
-
-
-def _color(text: str, code: str, fmt: str) -> str:
-    # Only pretty output is coloured; csv and json stay plain for machines.
-    if fmt == "pretty" and os.environ.get("CLI_COLOR") == "1":
-        return f"\x1b[{code}m{text}\x1b[0m"
-    return text
 
 
 def _dump(obj) -> str:
@@ -133,12 +125,12 @@ def cmd_potential(args) -> int:
         if args.format == "json":
             print(_dump({"match": not diffs, "diffs": [_diff_json(diff) for diff in diffs]}))
         elif not diffs:
-            print(_color("MATCH", "32", args.format))
+            print("MATCH")
         else:
             for diff in diffs:
                 where = "log_term" if diff.monomial is None else str(diff.monomial)
                 deg = "-" if diff.degree is None else f"q^{diff.degree}"
-                print(f"{_color('MISMATCH', '31', args.format)} {where} {deg}: {diff.lhs} != {diff.rhs}")
+                print(f"MISMATCH {where} {deg}: {diff.lhs} != {diff.rhs}")
         return 1 if diffs else 0
     if args.format == "json":
         print(_dump(potential.potential_to_json(assembled)))
@@ -184,7 +176,7 @@ def cmd_verify(args) -> int:
         if args.format == "csv":
             print(f"{label},{verdict}")
         elif args.format == "pretty":
-            print(f"{_color(verdict, '32' if result.ok else '31', args.format)} {label}")
+            print(f"{verdict} {label}")
             if not result.ok:
                 print(_dump(result.counterexample))
     if args.format == "json":
@@ -222,48 +214,33 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_format(p):
-        p.add_argument("--format", choices=("json", "csv", "pretty"), default="pretty")
-
-    def add_degree(p, flag, minimum=1, **kwargs):
-        # The degree option and the bounds main() holds it to (>= minimum, <= the
-        # cap), so a typo cannot start an enormous enumeration by accident.
-        option = p.add_argument(flag, type=int, **kwargs)
+    def add_command(name, run, summary, flag="--max-degree", minimum=1, required=False):
+        # A subcommand with the options they all share: the degree option and the
+        # bounds main() holds it to (>= minimum, <= the cap), so a typo cannot start
+        # an enormous enumeration by accident, and the output format.
+        p = sub.add_parser(name, help=summary)
+        default = {"required": True} if required else {"default": DEFAULT_TRUNC}
+        option = p.add_argument(flag, type=int, **default)
         p.add_argument("--degree-cap", type=int, default=DEFAULT_DEGREE_CAP)
-        p.set_defaults(degree_option=option, degree_minimum=minimum)
+        p.add_argument("--format", choices=("json", "csv", "pretty"), default="pretty")
+        p.set_defaults(run=run, degree_option=option, degree_minimum=minimum)
+        return p
 
-    p = sub.add_parser("sublattices", help="list the index-d sublattices")
-    add_degree(p, "--degree", required=True)
-    add_format(p)
-    p.set_defaults(run=cmd_sublattices)
-
-    p = sub.add_parser("series", help="print one of the named q-series")
+    add_command(
+        "sublattices", cmd_sublattices, "list the index-d sublattices", "--degree", required=True
+    )
+    p = add_command("series", cmd_series, "print one of the named q-series", minimum=0)
     p.add_argument("--which", choices=tuple(SERIES_BUILDERS), required=True)
-    add_degree(p, "--max-degree", minimum=0, default=DEFAULT_TRUNC)
-    add_format(p)
-    p.set_defaults(run=cmd_series)
-
-    p = sub.add_parser("correlators", help="four-point counts for one insertion tuple")
+    p = add_command("correlators", cmd_correlators, "four-point counts for one insertion tuple")
     p.add_argument("--insertions", type=_insertions, required=True, metavar="I,J,K,L")
-    add_degree(p, "--max-degree", default=DEFAULT_TRUNC)
-    add_format(p)
-    p.set_defaults(run=cmd_correlators)
-
-    p = sub.add_parser("potential", help="assemble the potential from the counts")
-    add_degree(p, "--max-degree", default=DEFAULT_TRUNC)
+    p = add_command("potential", cmd_potential, "assemble the potential from the counts")
     p.add_argument(
         "--compare-st",
         action="store_true",
         help="diff the assembled potential against the closed form",
     )
-    add_format(p)
-    p.set_defaults(run=cmd_potential)
-
-    p = sub.add_parser("verify", help="run the brute-force cross-checks")
+    p = add_command("verify", cmd_verify, "run the brute-force cross-checks")
     p.add_argument("--suite", choices=(*VERIFY_SUITES, "all"), default="all")
-    add_degree(p, "--max-degree", default=DEFAULT_TRUNC)
-    add_format(p)
-    p.set_defaults(run=cmd_verify)
 
     return parser
 

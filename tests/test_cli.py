@@ -451,20 +451,20 @@ def test_fuzzed_argv_exits_cleanly(argv):
 
 
 # ---------------------------------------------------------------------------
-# color and process-level entry
+# plain output and process-level entry
 # ---------------------------------------------------------------------------
 
 
-def test_color_only_with_env_flag(capsys, monkeypatch):
+def test_cli_color_env_does_not_change_output(capsys, monkeypatch):
+    # stdout depends on argv alone, so setting CLI_COLOR changes nothing.
+    argv = ["verify", "--suite", "oracle", "--max-degree", "3"]
     monkeypatch.delenv("CLI_COLOR", raising=False)
-    _, plain, _ = _run(capsys, ["verify", "--suite", "oracle", "--max-degree", "3"])
-    assert "\x1b[" not in plain
+    plain = _run(capsys, argv)
     monkeypatch.setenv("CLI_COLOR", "1")
-    _, colored, _ = _run(capsys, ["verify", "--suite", "oracle", "--max-degree", "3"])
-    assert "\x1b[32m" in colored
+    assert _run(capsys, argv) == plain == (0, "PASS oracle (d <= 3)\n", "")
 
 
-def test_mismatch_is_colored_only_in_pretty_output(capsys, monkeypatch):
+def test_mismatch_is_plain_in_every_format(capsys, monkeypatch):
     real = potential.st_reference_potential
 
     def perturbed(trunc):
@@ -478,11 +478,10 @@ def test_mismatch_is_colored_only_in_pretty_output(capsys, monkeypatch):
     monkeypatch.setattr(potential, "st_reference_potential", perturbed)
     monkeypatch.setenv("CLI_COLOR", "1")
     argv = ["potential", "--max-degree", "4", "--compare-st", "--format"]
-    for fmt in ("csv", "json"):
+    for fmt in ("csv", "json", "pretty"):
         code, out, _ = _run(capsys, argv + [fmt])
         assert code == 1 and "\x1b[" not in out, fmt
-    code, out, _ = _run(capsys, argv + ["pretty"])
-    assert code == 1 and out.startswith("\x1b[31mMISMATCH\x1b[0m ")
+    assert out.startswith("MISMATCH t1*t2*t3*t4 q^1: 1 != 2")
 
 
 def test_module_entry_point():
