@@ -27,8 +27,10 @@ def _need_int(name: str, value, minimum: int | None = None) -> int:
 
 class _Value:
     # A frozen value: the fields annotated in the class body, set once by the
-    # class's checked __init__ straight into __dict__.  == and hash go by the
-    # field values; copies and pickles call the class, so pass its checks.
+    # class's checked __init__, into __dict__ or its slots.  == and hash go by
+    # the field values; copies and pickles call the class, so pass its checks.
+
+    __slots__ = ()
 
     def __init_subclass__(cls, order: bool = False) -> None:
         cls.__match_args__ = tuple(cls.__annotations__)
@@ -80,6 +82,7 @@ class Basis2(_Value):
 class HnfLattice(_Value, order=True):
     """Canonical triple (h, m, g): basis (h, 0), (m, g); index d = h*g."""
 
+    __slots__ = ("h", "m", "g")  # built in bulk by the census: no per-instance dict
     h: int
     m: int
     g: int
@@ -92,8 +95,9 @@ class HnfLattice(_Value, order=True):
             _need_int("g", g, 1)
             if _need_int("m", m, 0) >= h:
                 raise ValueError(f"need m < h, got m={m}, h={h}")
-        d = self.__dict__
-        d["h"], d["m"], d["g"] = h, m, g
+        _set_h(self, h)
+        _set_m(self, m)
+        _set_g(self, g)
 
     @property
     def d(self) -> int:
@@ -101,6 +105,10 @@ class HnfLattice(_Value, order=True):
 
     def to_json(self) -> dict:
         return {"h": self.h, "m": self.m, "g": self.g, "d": self.d}
+
+
+# _Value.__setattr__ refuses assignment, so HnfLattice stores through its slot descriptors.
+_set_h, _set_m, _set_g = HnfLattice.h.__set__, HnfLattice.m.__set__, HnfLattice.g.__set__
 
 
 def det(basis: Basis2) -> int:

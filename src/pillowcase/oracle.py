@@ -177,10 +177,10 @@ _CORNER_BY_FRACTION = {
 
 
 def _corner_of(x: Fraction, y: Fraction) -> OrbiPoint:
-    key = (x % 1, y % 1)
-    if key not in _CORNER_BY_FRACTION:
+    corner = _CORNER_BY_FRACTION.get((x % 1, y % 1))
+    if corner is None:
         raise ValueError(f"({x}, {y}) is not a half-period point")
-    return _CORNER_BY_FRACTION[key]
+    return corner
 
 
 def image_table_check(dmax: int) -> CheckResult:

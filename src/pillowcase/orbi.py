@@ -21,7 +21,7 @@ from functools import cache
 from itertools import permutations, product
 
 from .lattice import HnfLattice, _need_int, enumerate_sublattices
-from .qseries import QSeries
+from .qseries import QSeries, _series
 
 
 class OrbiPoint(IntEnum):
@@ -149,7 +149,7 @@ def correlator_series(ins, trunc: int) -> QSeries:
     """Generating series sum_{d=1..N} correlator(ins, d) q^d."""
     _need_int("trunc", trunc, 1)
     ins = _as_points(ins)
-    return QSeries((0,) + tuple(correlator(ins, d) for d in range(1, trunc + 1)))
+    return _series([0] + [correlator(ins, d) for d in range(1, trunc + 1)])
 
 
 def total_count_series(trunc: int) -> QSeries:
@@ -159,4 +159,4 @@ def total_count_series(trunc: int) -> QSeries:
     partitions this coefficient into the individual correlator values.
     """
     _need_int("trunc", trunc, 1)
-    return QSeries((0,) + tuple(sum(_cover_census(d).values()) for d in range(1, trunc + 1)))
+    return _series([0] + [sum(_cover_census(d).values()) for d in range(1, trunc + 1)])

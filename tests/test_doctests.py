@@ -38,8 +38,7 @@ def _readme_transcript():
         yield shlex.split(command), output.strip("\n") + "\n"
 
 
-def test_readme_cli_transcript(capsys, monkeypatch):
-    monkeypatch.delenv("CLI_COLOR", raising=False)
+def test_readme_cli_transcript(capsys):
     transcript = list(_readme_transcript())
     assert len(transcript) == 5
     for argv, expected in transcript:

@@ -14,7 +14,6 @@ from __future__ import annotations
 import hashlib
 import io
 import json
-import os
 from contextlib import redirect_stdout
 from itertools import combinations_with_replacement
 
@@ -195,8 +194,7 @@ GOLDEN = {
 
 
 @pytest.mark.parametrize("case", CASES)
-def test_stdout_is_byte_identical(case, monkeypatch):
-    monkeypatch.delenv("CLI_COLOR", raising=False)
+def test_stdout_is_byte_identical(case):
     assert _digest(case) == GOLDEN[case]
 
 
@@ -209,7 +207,6 @@ def _coeffs_read(series):
     "case", [case for case in CASES if not case.startswith("verify") and "--compare-st" not in case]
 )
 def test_writers_print_only_to_json_strings(case, monkeypatch):
-    monkeypatch.delenv("CLI_COLOR", raising=False)
     monkeypatch.setattr(QSeries, "coeffs", property(_coeffs_read))
     assert _digest(case) == GOLDEN[case]
 
@@ -220,7 +217,6 @@ def test_json_stdout_parses(case):
 
 
 if __name__ == "__main__":
-    os.environ.pop("CLI_COLOR", None)
     print("GOLDEN = {")
     for case in CASES:
         print(f"    {case!r}: {_digest(case)!r},")

@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import combinations_with_replacement, permutations, product
 
 import pytest
 
@@ -16,6 +16,7 @@ from pillowcase.orbi import (
     translate_action,
 )
 from pillowcase.qseries import (
+    QSeries,
     add,
     constant_series,
     divisor_series,
@@ -237,6 +238,16 @@ def test_partition_identity():
 def test_distinct_corner_series_is_odd_divisor_sum():
     n = 40
     assert correlator_series((X1, X2, X3, X4), n) == divisor_series_odd(n)
+    # every count series equals the one the public constructor builds from the same counts
+    classes = list(combinations_with_replacement(OrbiPoint, 4))
+    assert len(classes) == 35
+    for ins in classes:
+        built = QSeries((0,) + tuple(correlator(ins, d) for d in range(1, n + 1)))
+        series = correlator_series(ins, n)
+        assert series == built and hash(series) == hash(built)
+    built = QSeries((0,) + tuple(sum(orbi._cover_census(d).values()) for d in range(1, n + 1)))
+    total = total_count_series(n)
+    assert total == built and hash(total) == hash(built)
 
 
 def test_single_corner_series_is_six_fold_quartered_divisor_sum():

@@ -106,6 +106,19 @@ def test_fields_cannot_be_assigned_or_deleted(value):
     assert getattr(value, name) is before
 
 
+def test_lattice_fields_live_in_slots():
+    # The census builds one HnfLattice per sublattice, so it carries no instance dict.
+    lattice = HnfLattice(2, 1, 3)
+    assert HnfLattice.__slots__ == ("h", "m", "g")
+    with pytest.raises(TypeError):
+        vars(lattice)
+    with pytest.raises(AttributeError):
+        lattice.extra = 1
+    with pytest.raises(AttributeError):
+        object.__setattr__(lattice, "extra", 1)
+    assert (lattice.h, lattice.m, lattice.g, lattice.d) == (2, 1, 3, 6)
+
+
 def test_order_is_by_fields_and_only_within_one_class():
     assert HnfLattice(1, 0, 6) < HnfLattice(2, 0, 3) <= HnfLattice(2, 0, 3) < HnfLattice(2, 1, 3)
     assert Monomial((0, 0, 0, 0, 4)) < MONO and MONO >= MONO and MONO > Monomial((0, 0, 0, 0, 4))
