@@ -72,6 +72,29 @@ def test_readme_suite_limits_match_the_oracle():
     assert set(stated.values()) == {*limits, oracle.DIVISOR_SUM_MAX}
 
 
+def test_readme_oracle_counts_match_the_walk(monkeypatch):
+    # "Up to d = 12 the walk reduces 12,876 matrices and makes 127 `hnf_reduce` calls"
+    sentence = _readme_sentence("Up to d = ")
+    dmax, matrices, calls = re.fullmatch(
+        r"Up to d = (\d+) the walk reduces ([\d,]+) matrices and makes (\d+) `hnf_reduce` calls", sentence
+    ).groups()
+    counts = {"_reduce_columns": 0, "hnf_reduce": 0}
+
+    def count(module, name):
+        real = getattr(module, name)
+
+        def counted(*args):
+            counts[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(oracle, "_reduce_columns")
+    count(lattice, "hnf_reduce")
+    assert oracle.orbit_agreement_check(int(dmax)).ok
+    assert counts == {"_reduce_columns": int(matrices.replace(",", "")), "hnf_reduce": int(calls)}
+
+
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
 def test_demo_runs(demo):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}

@@ -77,6 +77,42 @@ def test_orbit_scan_meets_matrices_as_the_four_entry_scan_does():
         assert list(oracle._orbit_representatives(d).items()) == list(first.items())
 
 
+def test_orbit_walk_reduces_each_solution_once_in_order(monkeypatch):
+    # The walk skips the (alpha, beta, gamma) that solve nothing, so it must
+    # reduce exactly the determinant-d matrices of [-d, d]^4, each once, in
+    # the order a scan of every (alpha, beta, gamma) solving for delta meets them.
+    real = oracle._reduce_columns
+    reduced = []
+
+    def counted(*matrix):
+        reduced.append(matrix)
+        return real(*matrix)
+
+    monkeypatch.setattr(oracle, "_reduce_columns", counted)
+    total = 0
+    for d in range(1, 13):
+        reduced.clear()
+        oracle._orbit_representatives(d)
+        total += len(reduced)
+        if d > 10:
+            continue
+        span = range(-d, d + 1)
+        scan = []
+        for alpha, beta, gamma in product(span, repeat=3):
+            if alpha:
+                delta, rest = divmod(d + beta * gamma, alpha)
+                if not rest and -d <= delta <= d:
+                    scan.append((alpha, beta, gamma, delta))
+            elif beta * gamma == -d:
+                scan.extend((alpha, beta, gamma, delta) for delta in span)
+        assert reduced == scan
+        # alpha = 0, beta = 0 and negative entries all occur; a pair whose gcd
+        # does not divide d (say alpha = beta = 2 at odd d) must add nothing.
+        assert any(m[0] == 0 for m in scan) and any(m[1] == 0 for m in scan)
+        assert any(min(m) < 0 for m in scan)
+    assert total == 12_876
+
+
 # ---------------------------------------------------------------------------
 # corner classification
 # ---------------------------------------------------------------------------
