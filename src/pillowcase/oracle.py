@@ -20,15 +20,17 @@ from . import orbi
 from .lattice import HnfLattice, _Value
 from .orbi import OrbiPoint
 
-# Exhaustive ranges, with each check's cost at its cap (seven fresh processes
-# on a 2-core Xeon).  The matrix census walks the (alpha, beta) in [-d, d]^2
+# Exhaustive ranges, with each check's cost at its cap (fresh processes on a
+# 2-core Xeon).  The matrix census walks the (alpha, beta) in [-d, d]^2
 # whose gcd divides d, and for each only the gamma in [-d, d] that solve for
 # an integer delta: 0.015 s at 12 (median of ten such processes).  The
-# branching census walks every partition of d across four fibers: 0.01 s at 9.
-# The parity census walks about 0.82 * dmax^2 sublattices, each corner an exact
-# rational point reduced once per call: 0.3-0.5 s at 400; all eight parity
-# classes occur by d = 6, so its cap drops no case.  The lump-sum and closed-form
-# checks enumerate about 0.82 * dmax^2 sublattices: 1.1-1.6 s each at 1000.
+# branching census walks every partition of d across four fibers, once per
+# ordered pattern of fiber sizes (35 per degree): 0.003 s at 9 (median of
+# ten).  The parity census walks about 0.82 * dmax^2 sublattices, each
+# doubled coordinate halved and reduced once per call: 0.17 s at 400 (median
+# of ten); all eight parity classes occur by d = 6, so its cap drops no case.
+# The lump-sum and closed-form checks enumerate about 0.82 * dmax^2
+# sublattices: 0.9-1.1 s each at 1000 (three processes each).
 SL2_EXHAUSTIVE_MAX = 12
 RH_EXHAUSTIVE_MAX = 9
 PARITY_EXHAUSTIVE_MAX = 400
@@ -185,8 +187,14 @@ _CORNER_BY_FRACTION = {
 }
 
 
+def _half_mod_one(a: int) -> Fraction:
+    # A doubled coordinate, halved and reduced into [0, 1).
+    return Fraction(a, 2) % 1
+
+
 def _corner_of(x: Fraction, y: Fraction) -> OrbiPoint:
-    corner = _CORNER_BY_FRACTION.get((x % 1, y % 1))
+    # (x, y) already reduced mod 1; the one reader of the corner names.
+    corner = _CORNER_BY_FRACTION.get((x, y))
     if corner is None:
         raise ValueError(f"({x}, {y}) is not a half-period point")
     return corner
@@ -197,22 +205,25 @@ def image_table_check(dmax: int) -> CheckResult:
 
     The half periods of the sublattice (h, m, g) sit at h/2, (h+m)/2 +
     (g/2)i and m/2 + (g/2)i; reduced mod 1 into the fundamental square,
-    each names its corner.  Each distinct point is reduced once per call and
-    looked up for every sublattice it belongs to.  The result must agree
-    with both the parity table above and the main classification.
+    each names its corner.  Each distinct coordinate is halved and reduced
+    once per call, each distinct point named once, and the corner of h/2
+    once per (h, g); every sublattice is still compared.  The result must
+    agree with both the parity table above and the main classification.
     """
     _need_degree(dmax, PARITY_EXHAUSTIVE_MAX)
+    half = cache(_half_mod_one)
 
     @cache
     def corner(a: int, b: int) -> OrbiPoint:  # doubled coordinates -> corner
-        return _corner_of(Fraction(a, 2), Fraction(b, 2))
+        return _corner_of(half(a), half(b))
 
     lattices = 0
     for d in range(1, dmax + 1):
         for h in (k for k in range(1, d + 1) if d % k == 0):
             g = d // h
+            at_h = corner(h, 0)
             for m in range(h):
-                direct = (corner(h, 0), corner(h + m, g), corner(m, g))
+                direct = (at_h, corner(h + m, g), corner(m, g))
                 from_table = INSERTION_PARITY_TABLE[(g % 2, h % 2, m % 2)]
                 from_main = orbi.classify_images(HnfLattice(h, m, g))
                 lattices += 1
@@ -237,13 +248,13 @@ def image_table_check(dmax: int) -> CheckResult:
 # ---------------------------------------------------------------------------
 
 
-def _closed_form_count(shape: list[int], d: int, sigma: list[int]):
+def _closed_form_count(shape: tuple[int, ...], d: int, sigma: list[int]):
     # shape: the class's sorted multiplicities; sigma: divisor sums reaching d.
-    if shape == [1, 1, 1, 1]:
+    if shape == (1, 1, 1, 1):
         return sigma[d] if d % 2 else 0
-    if shape == [4]:
+    if shape == (4,):
         return 6 * sigma[d // 4] if d % 4 == 0 else 0
-    if shape == [2, 2]:
+    if shape == (2, 2):
         even = sigma[d] if d % 2 == 0 else 0
         quarter = sigma[d // 4] if d % 4 == 0 else 0
         return Fraction(2, 3) * (even - quarter)
@@ -254,18 +265,22 @@ def correlator_crosscheck(dmax: int) -> CheckResult:
     """Enumerated four-point counts against their divisor-sum closed forms.
 
     Covers every insertion class (all 35 multisets over the four corners,
-    the translation-only ones included) at every degree up to dmax.
+    the translation-only ones included) at every degree up to dmax.  The
+    closed form depends only on the class's shape (five in all), so it is
+    evaluated once per shape and degree.
     """
     _need_degree(dmax, DIVISOR_SUM_MAX)
     sigma = _divisor_sums(dmax)
     classes = [
-        (ins, sorted(ins.count(p) for p in set(ins)))
+        (ins, tuple(sorted(ins.count(p) for p in set(ins))))
         for ins in combinations_with_replacement(tuple(OrbiPoint), 4)
     ]
+    shapes = dict.fromkeys(shape for _, shape in classes)
     checked = 0
     for d in range(1, dmax + 1):
+        by_shape = {shape: _closed_form_count(shape, d, sigma) for shape in shapes}
         for ins, shape in classes:
-            expected = _closed_form_count(shape, d, sigma)
+            expected = by_shape[shape]
             got = orbi.correlator(ins, d)
             checked += 1
             if got != expected:
@@ -366,31 +381,43 @@ def rh_uniqueness_check(dmax: int) -> CheckResult:
     drops every choice that passes the cap even beside the least excess of
     each other fiber.  The check passes when every admissible profile is the
     unramified one (all marked orders 1, all other preimages simple); it
-    stops at the first degree with another profile.
+    stops at the first degree with another profile.  The profiles depend
+    only on how many marked points each corner takes (35 ordered patterns),
+    so each pattern is walked once per degree and credited to each of the
+    256 assignments with that pattern.
     """
     _need_degree(dmax, RH_EXHAUSTIVE_MAX)
-    marked = [
-        (assignment, [tuple(i for i in range(4) if assignment[i] == t) for t in range(4)])
-        for assignment in product(range(4), repeat=4)
-    ]
+    # Each assignment with its pattern: how many marked points each corner takes.
+    marked = [(a, tuple(map(a.count, range(4)))) for a in product(range(4), repeat=4)]
+    patterns = dict.fromkeys(pattern for _, pattern in marked)
     solutions = 0
     for d in range(1, dmax + 1):
         by_size = {n: _fiber_solutions(n, d) for n in range(5)}
-        for assignment, fibers in marked:
-            for combo in _profiles_within([by_size[len(f)] for f in fibers], 2 * d - 2):
-                solutions += 1
+        walks = {}  # pattern -> (profiles admitted, first one that ramifies or None)
+        for pattern in patterns:
+            count, ramified = 0, None
+            for combo in _profiles_within([by_size[n] for n in pattern], 2 * d - 2):
                 if not (combo[0][3] and combo[1][3] and combo[2][3] and combo[3][3]):
-                    marked_orders = [0, 0, 0, 0]
-                    for fiber, (a_tuple, _, _, _) in zip(fibers, combo):
-                        for marker, a in zip(fiber, a_tuple):
-                            marked_orders[marker] = 2 * a + 1
-                    return CheckResult(
-                        False,
-                        counterexample={
-                            "d": d,
-                            "assignment": [t + 1 for t in assignment],
-                            "marked_orders": marked_orders,
-                            "even_orders": [[2 * e for e in sol[1]] for sol in combo],
-                        },
-                    )
+                    ramified = combo
+                    break
+                count += 1
+            walks[pattern] = (count, ramified)
+        for assignment, pattern in marked:
+            count, ramified = walks[pattern]
+            if ramified is not None:
+                marked_orders = [0, 0, 0, 0]
+                for t, (a_tuple, _, _, _) in enumerate(ramified):
+                    fiber = [i for i in range(4) if assignment[i] == t]
+                    for marker, a in zip(fiber, a_tuple):
+                        marked_orders[marker] = 2 * a + 1
+                return CheckResult(
+                    False,
+                    counterexample={
+                        "d": d,
+                        "assignment": [t + 1 for t in assignment],
+                        "marked_orders": marked_orders,
+                        "even_orders": [[2 * e for e in sol[1]] for sol in ramified],
+                    },
+                )
+            solutions += count
     return CheckResult(True, details={"degrees": dmax, "solutions": solutions})

@@ -72,27 +72,46 @@ def test_readme_suite_limits_match_the_oracle():
     assert set(stated.values()) == {*limits, oracle.DIVISOR_SUM_MAX}
 
 
+def _count_calls(monkeypatch, *targets):
+    # Wrap each (module, name) so that counts[name] tallies its calls.
+    counts = {}
+    for module, name in targets:
+        counts[name] = 0
+
+        def counted(*args, _real=getattr(module, name), _name=name):
+            counts[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    return counts
+
+
 def test_readme_oracle_counts_match_the_walk(monkeypatch):
     # "Up to d = 12 the walk reduces 12,876 matrices and makes 127 `hnf_reduce` calls"
     sentence = _readme_sentence("Up to d = ")
     dmax, matrices, calls = re.fullmatch(
         r"Up to d = (\d+) the walk reduces ([\d,]+) matrices and makes (\d+) `hnf_reduce` calls", sentence
     ).groups()
-    counts = {"_reduce_columns": 0, "hnf_reduce": 0}
-
-    def count(module, name):
-        real = getattr(module, name)
-
-        def counted(*args):
-            counts[name] += 1
-            return real(*args)
-
-        monkeypatch.setattr(module, name, counted)
-
-    count(oracle, "_reduce_columns")
-    count(lattice, "hnf_reduce")
+    counts = _count_calls(monkeypatch, (oracle, "_reduce_columns"), (lattice, "hnf_reduce"))
     assert oracle.orbit_agreement_check(int(dmax)).ok
     assert counts == {"_reduce_columns": int(matrices.replace(",", "")), "hnf_reduce": int(calls)}
+
+
+def test_readme_parity_counts_match_the_suite(monkeypatch):
+    # "Up to d = 100 the `parity` suite makes 200 reductions and names 1,064 points for 8,299 sublattices"
+    sentence = _readme_sentence("Up to d = 100 the `parity` suite")
+    dmax, reductions, points, lattices = re.fullmatch(
+        r"Up to d = (\d+) the `parity` suite makes ([\d,]+) reductions and names ([\d,]+) points"
+        r" for ([\d,]+) sublattices",
+        sentence,
+    ).groups()
+    counts = _count_calls(monkeypatch, (oracle, "_half_mod_one"), (oracle, "_corner_of"))
+    result = oracle.image_table_check(int(dmax))
+    assert result.ok and result.details["lattices"] == int(lattices.replace(",", ""))
+    assert counts == {
+        "_half_mod_one": int(reductions.replace(",", "")),
+        "_corner_of": int(points.replace(",", "")),
+    }
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import ast
 import json
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -131,10 +132,34 @@ def test_parity_table_has_all_eight_cases():
 
 
 def test_corner_of_reduces_mod_one_and_refuses_other_points():
-    assert oracle._corner_of(Fraction(3, 2), Fraction(-1, 2)) is X3
-    assert oracle._corner_of(Fraction(-2), Fraction(5, 2)) is X4
+    # A doubled coordinate is halved and reduced once; the corner rule then
+    # names reduced points only.
+    half = oracle._half_mod_one
+    assert oracle._corner_of(half(3), half(-1)) is X3
+    assert oracle._corner_of(half(-4), half(5)) is X4
     with pytest.raises(ValueError):
         oracle._corner_of(Fraction(1, 3), Fraction(0))
+    with pytest.raises(ValueError):
+        oracle._corner_of(Fraction(3, 2), Fraction(1, 2))
+
+
+def test_image_table_check_halves_each_coordinate_once_per_call(monkeypatch):
+    real = oracle._half_mod_one
+    halved = []
+
+    def counted(a):
+        halved.append(a)
+        return real(a)
+
+    monkeypatch.setattr(oracle, "_half_mod_one", counted)
+    coordinates = {0}
+    for d in range(1, 31):
+        for lat in lattice.enumerate_sublattices(d):
+            coordinates |= {lat.h, lat.h + lat.m, lat.m, lat.g}
+    for _ in range(2):  # the memo is the call's own, so a second call halves again
+        halved.clear()
+        assert image_table_check(30).ok
+        assert sorted(halved) == sorted(coordinates)
 
 
 def test_image_table_check_passes():
@@ -197,6 +222,21 @@ def test_correlator_crosscheck_passes():
     assert result.details["classes_checked"] == 35 * 20
 
 
+def test_crosscheck_evaluates_each_closed_form_once_per_shape(monkeypatch):
+    real = oracle._closed_form_count
+    calls = []
+
+    def counted(shape, d, sigma):
+        calls.append((shape, d))
+        return real(shape, d, sigma)
+
+    monkeypatch.setattr(oracle, "_closed_form_count", counted)
+    result = correlator_crosscheck(20)
+    assert result.ok and result.details["classes_checked"] == 35 * 20
+    shapes = [(1, 1, 1, 1), (1, 1, 2), (1, 3), (2, 2), (4,)]
+    assert sorted(calls) == sorted((shape, d) for shape in shapes for d in range(1, 21))
+
+
 def test_crosscheck_catches_dropped_reordering(monkeypatch):
     kept = tuple(t for t in orbi.MARKING_PERMUTATIONS if t != (2, 4, 3))
     monkeypatch.setattr(orbi, "MARKING_PERMUTATIONS", kept)
@@ -245,6 +285,49 @@ def test_rh_solution_counts():
     assert rh_uniqueness_check(2).details["solutions"] == 24 + 36
     totals = [0] + [rh_uniqueness_check(dmax).details["solutions"] for dmax in range(1, 7)]
     assert [b - a for a, b in zip(totals, totals[1:])] == [24, 36, 24, 40, 24, 40]
+
+
+def test_rh_walks_each_fiber_size_pattern_once_per_degree(monkeypatch):
+    # 256 corner assignments share 35 ordered patterns of fiber sizes.
+    real = oracle._profiles_within
+    budgets = []
+
+    def counted(fiber_lists, budget):
+        budgets.append(budget)
+        return real(fiber_lists, budget)
+
+    monkeypatch.setattr(oracle, "_profiles_within", counted)
+    totals = [0]
+    for dmax in range(1, 7):
+        budgets.clear()
+        totals.append(rh_uniqueness_check(dmax).details["solutions"])
+        walks = Counter(budgets)
+        assert sorted(walks) == [2 * d - 2 for d in range(1, dmax + 1)]
+        assert max(walks.values()) <= 35
+    assert [b - a for a, b in zip(totals, totals[1:])] == [24, 36, 24, 40, 24, 40]
+
+
+def test_rh_counterexample_names_the_markers_of_the_failing_assignment(monkeypatch):
+    # A faked second profile for two marked points over one corner at d = 2
+    # first fails at assignment (1, 1, 2, 2), in the second profile of its
+    # walk: marked points 3 and 4 over corner 2, point 3 of order 3.  Fiber
+    # sizes (2, 2, 0, 0) are not sorted, so this pins the fibers' order too.
+    fiber_solutions = oracle._fiber_solutions
+
+    def patched(n_marked, d):
+        extra = [((1, 0), (), 0, False)] if (n_marked, d) == (2, 2) else []
+        return fiber_solutions(n_marked, d) + extra
+
+    monkeypatch.setattr(oracle, "_fiber_solutions", patched)
+    assert rh_uniqueness_check(1).ok
+    result = rh_uniqueness_check(4)
+    assert not result.ok
+    assert result.counterexample == {
+        "d": 2,
+        "assignment": [1, 1, 2, 2],
+        "marked_orders": [1, 1, 3, 1],
+        "even_orders": [[], [], [2], [2]],
+    }
 
 
 def test_rh_checks_every_degree_up_to_dmax(capsys, monkeypatch):
