@@ -20,17 +20,16 @@ from . import orbi
 from .lattice import HnfLattice, _Value
 from .orbi import OrbiPoint
 
-# Exhaustive ranges, with each check's cost at its cap (fresh processes on a
-# 2-core Xeon).  The matrix census walks the (alpha, beta) in [-d, d]^2
-# whose gcd divides d, and for each only the gamma in [-d, d] that solve for
-# an integer delta: 0.015 s at 12 (median of ten such processes).  The
-# branching census walks every partition of d across four fibers, once per
-# ordered pattern of fiber sizes (35 per degree): 0.003 s at 9 (median of
-# ten).  The parity census walks about 0.82 * dmax^2 sublattices, each
-# doubled coordinate halved and reduced once per call: 0.17 s at 400 (median
-# of ten); all eight parity classes occur by d = 6, so its cap drops no case.
-# The lump-sum and closed-form checks enumerate about 0.82 * dmax^2
-# sublattices: 0.9-1.1 s each at 1000 (three processes each).
+# Exhaustive ranges, with each check's cost at its cap (median of ten fresh
+# processes per check on a 2-core Xeon).  The matrix census walks the
+# (alpha, beta) in [-d, d]^2 whose gcd divides d, and for each only the gamma
+# in [-d, d] that solve for an integer delta: 0.011 s at 12.  The branching
+# census walks every partition of d across four fibers, once per ordered
+# pattern of fiber sizes (35 per degree): 0.002 s at 9.  The parity census
+# walks about 0.82 * dmax^2 sublattices, each doubled coordinate halved and
+# reduced once per call: 0.19 s at 400; all eight parity classes occur by
+# d = 6, so its cap drops no case.  The lump-sum and closed-form checks
+# enumerate about 0.82 * dmax^2 sublattices: 0.63 s and 1.0 s at 1000.
 SL2_EXHAUSTIVE_MAX = 12
 RH_EXHAUSTIVE_MAX = 9
 PARITY_EXHAUSTIVE_MAX = 400
@@ -179,24 +178,24 @@ INSERTION_PARITY_TABLE: dict[tuple[int, int, int], tuple[OrbiPoint, OrbiPoint, O
     (1, 1, 1): (OrbiPoint.X2, OrbiPoint.X4, OrbiPoint.X3),
 }
 
-_CORNER_BY_FRACTION = {
-    (Fraction(0), Fraction(0)): OrbiPoint.X1,
-    (Fraction(1, 2), Fraction(0)): OrbiPoint.X2,
-    (Fraction(1, 2), Fraction(1, 2)): OrbiPoint.X3,
-    (Fraction(0), Fraction(1, 2)): OrbiPoint.X4,
+_CORNER_BY_POINT = {
+    ((0, 1), (0, 1)): OrbiPoint.X1,
+    ((1, 2), (0, 1)): OrbiPoint.X2,
+    ((1, 2), (1, 2)): OrbiPoint.X3,
+    ((0, 1), (1, 2)): OrbiPoint.X4,
 }
 
 
-def _half_mod_one(a: int) -> Fraction:
-    # A doubled coordinate, halved and reduced into [0, 1).
-    return Fraction(a, 2) % 1
+def _half_mod_one(a: int) -> tuple[int, int]:
+    # A doubled coordinate halved into [0, 1), as lowest-terms (num, den) ints.
+    return (Fraction(a, 2) % 1).as_integer_ratio()
 
 
-def _corner_of(x: Fraction, y: Fraction) -> OrbiPoint:
+def _corner_of(x: tuple[int, int], y: tuple[int, int]) -> OrbiPoint:
     # (x, y) already reduced mod 1; the one reader of the corner names.
-    corner = _CORNER_BY_FRACTION.get((x, y))
+    corner = _CORNER_BY_POINT.get((x, y))
     if corner is None:
-        raise ValueError(f"({x}, {y}) is not a half-period point")
+        raise ValueError(f"({Fraction(*x)}, {Fraction(*y)}) is not a half-period point")
     return corner
 
 
@@ -206,9 +205,9 @@ def image_table_check(dmax: int) -> CheckResult:
     The half periods of the sublattice (h, m, g) sit at h/2, (h+m)/2 +
     (g/2)i and m/2 + (g/2)i; reduced mod 1 into the fundamental square,
     each names its corner.  Each distinct coordinate is halved and reduced
-    once per call, each distinct point named once, and the corner of h/2
-    once per (h, g); every sublattice is still compared.  The result must
-    agree with both the parity table above and the main classification.
+    once per call, each distinct point named once (as int pairs), and h/2
+    and the table rows once per (h, g); every sublattice is still compared.
+    The result must agree with both the parity table and the main classification.
     """
     _need_degree(dmax, PARITY_EXHAUSTIVE_MAX)
     half = cache(_half_mod_one)
@@ -222,9 +221,10 @@ def image_table_check(dmax: int) -> CheckResult:
         for h in (k for k in range(1, d + 1) if d % k == 0):
             g = d // h
             at_h = corner(h, 0)
+            rows = INSERTION_PARITY_TABLE[g % 2, h % 2, 0], INSERTION_PARITY_TABLE[g % 2, h % 2, 1]
             for m in range(h):
                 direct = (at_h, corner(h + m, g), corner(m, g))
-                from_table = INSERTION_PARITY_TABLE[(g % 2, h % 2, m % 2)]
+                from_table = rows[m % 2]
                 from_main = orbi.classify_images(HnfLattice(h, m, g))
                 lattices += 1
                 if not (direct == from_table == from_main):

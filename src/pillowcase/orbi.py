@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from collections import Counter
 from enum import IntEnum
-from functools import cache
 from itertools import permutations, product
 
 from .lattice import HnfLattice, _need_int, enumerate_sublattices
@@ -110,24 +109,26 @@ _X1_FIRST: dict[InsertionTuple, InsertionTuple] = {
 }
 
 
+# Censuses by degree, each beside the enumerator, classifier and marking
+# permutations that built it: while any of the three is patched or wrapped
+# (fault injection, tracing), the degree is rebuilt, never read from another.
+_CENSUS: dict[int, tuple] = {}
+
+
 def _cover_census(d: int) -> dict[InsertionTuple, int]:
     # Every count at degree d reads this one census: the number of index-d
     # covers per ordered corner image of the marked points, X1 pinned over X1.
-    # The memo is keyed by the enumerator, the classifier and the marking
-    # permutations in use as well as the degree, so a patched or wrapped one
-    # (fault injection, tracing) never reads counts another one built.
-    return _census(d, enumerate_sublattices, classify_images, MARKING_PERMUTATIONS)
-
-
-@cache
-def _census(d, enumerate_fn, classify_fn, markings):
     # Sublattices with the same image triple (one per parity class, at most
     # eight) carry the same covers, so each class is expanded once.
-    covers = Counter()
-    for img, lattices in Counter(map(classify_fn, enumerate_fn(d))).items():
-        for tau in markings:
-            covers[OrbiPoint.X1, img[tau[0] - 2], img[tau[1] - 2], img[tau[2] - 2]] += lattices
-    return dict(covers)
+    built = _CENSUS.get(d)
+    if not (built and built[0] is enumerate_sublattices and built[1] is classify_images
+            and built[2] is MARKING_PERMUTATIONS):
+        covers = Counter()
+        for img, lattices in Counter(map(classify_images, enumerate_sublattices(d))).items():
+            for tau in MARKING_PERMUTATIONS:
+                covers[OrbiPoint.X1, img[tau[0] - 2], img[tau[1] - 2], img[tau[2] - 2]] += lattices
+        built = _CENSUS[d] = (enumerate_sublattices, classify_images, MARKING_PERMUTATIONS, dict(covers))
+    return built[3]
 
 
 def correlator(ins, d: int) -> int:
@@ -142,6 +143,14 @@ def correlator(ins, d: int) -> int:
     >>> correlator((1, 2, 3, 4), 3)
     4
     """
+    # One inline test admits four OrbiPoints and an int degree >= 1, which read
+    # a current census with one lookup; any other call takes the full checks.
+    if type(d) is int and d >= 1 and type(ins) is tuple and len(ins) == 4:
+        if type(ins[0]) is type(ins[1]) is type(ins[2]) is type(ins[3]) is OrbiPoint:
+            built = _CENSUS.get(d)
+            if (built and built[0] is enumerate_sublattices and built[1] is classify_images
+                    and built[2] is MARKING_PERMUTATIONS):
+                return built[3].get(_X1_FIRST[ins], 0)
     return _cover_census(_need_int("d", d, 1)).get(_X1_FIRST[_as_points(ins)], 0)
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import factorial
+from math import factorial, prod
 from types import MappingProxyType
 
 from . import orbi, qseries
@@ -109,9 +109,7 @@ def assemble_potential(trunc: int) -> Potential:
         terms[_monomial(0, j, j)] = qseries.constant_series(pair_constant, trunc)
     for ins in combinations_with_replacement(tuple(OrbiPoint), 4):
         mono = _monomial(*ins)
-        weight = Fraction(1, 1)
-        for e in mono.exponents[1:]:
-            weight /= factorial(e)
+        weight = Fraction(1, prod(map(factorial, mono.exponents[1:])))
         series = orbi.correlator_series(ins, trunc)
         if len(set(ins)) == 1:
             series = qseries.add(series, qseries.constant_series(Fraction(-1, 4), trunc))

@@ -3,7 +3,6 @@ from __future__ import annotations
 import ast
 import json
 from collections import Counter
-from fractions import Fraction
 from itertools import product
 from pathlib import Path
 
@@ -137,10 +136,11 @@ def test_corner_of_reduces_mod_one_and_refuses_other_points():
     half = oracle._half_mod_one
     assert oracle._corner_of(half(3), half(-1)) is X3
     assert oracle._corner_of(half(-4), half(5)) is X4
-    with pytest.raises(ValueError):
-        oracle._corner_of(Fraction(1, 3), Fraction(0))
-    with pytest.raises(ValueError):
-        oracle._corner_of(Fraction(3, 2), Fraction(1, 2))
+    assert half(3) == (1, 2) and half(-4) == (0, 1)
+    with pytest.raises(ValueError, match=r"\(1/3, 0\) is not a half-period point"):
+        oracle._corner_of((1, 3), (0, 1))
+    with pytest.raises(ValueError, match=r"\(3/2, 1/2\) is not"):
+        oracle._corner_of((3, 2), (1, 2))
 
 
 def test_image_table_check_halves_each_coordinate_once_per_call(monkeypatch):
@@ -204,8 +204,8 @@ def test_image_table_check_sees_a_fault_at_one_lattice(monkeypatch):
 
 def test_image_table_check_reads_the_corner_names_on_each_call(monkeypatch):
     assert image_table_check(10).ok
-    swapped = {point: _swap_x3_x4((corner,))[0] for point, corner in oracle._CORNER_BY_FRACTION.items()}
-    monkeypatch.setattr(oracle, "_CORNER_BY_FRACTION", swapped)
+    swapped = {point: _swap_x3_x4((corner,))[0] for point, corner in oracle._CORNER_BY_POINT.items()}
+    monkeypatch.setattr(oracle, "_CORNER_BY_POINT", swapped)
     result = image_table_check(10)
     assert not result.ok
     assert result.counterexample["d"] == 1
@@ -414,7 +414,7 @@ def test_oracle_takes_only_its_objects_under_test_from_the_package():
     """The oracle's hard limit, read off its source with `ast`.
 
     Function-local imports count as well.  A check routed through, say,
-    `lattice.divisors` or `orbi._census` would check that code against
+    `lattice.divisors` or `orbi._cover_census` would check that code against
     itself, and this test fails.  Widening an allowlist above needs a
     CHANGES.md line that names the new object under test.
     """

@@ -54,7 +54,7 @@ def test_classify_images_is_the_coset_formula():
 
 def test_census_classifies_each_enumerated_lattice_once(monkeypatch):
     # One classification per lattice until the census counts parity classes;
-    # a wrapped classifier is a new memo key, so the census is built cold.
+    # a wrapped classifier did not build the cached census, so it is rebuilt.
     calls = []
 
     def counted(lat):
@@ -220,6 +220,37 @@ def test_census_count_matches_per_lattice_count():
                     if tuple(img[t - 2] for t in tau) == rest:
                         expected += 1
             assert correlator((X1,) + rest, d) == expected, (rest, d)
+
+
+def test_count_reads_follow_each_patch_and_its_undoing(monkeypatch):
+    # Reads at one degree with no memo cleared: each patch must read its own
+    # census, and each undone patch the original counts again, never counts
+    # built under another enumerator, classifier or marking set.
+    d = 42
+    real_classify, real_enumerate = orbi.classify_images, orbi.enumerate_sublattices
+    swap = {(0, 0, 1): (0, 1, 0), (0, 1, 0): (0, 0, 1)}
+
+    def swapped(lat):  # the parity-class swap of tests/test_wdvv.py
+        parity = (lat.h % 2, lat.m % 2, lat.g % 2)
+        if lat.d > 40 and parity in swap:
+            return orbi._IMAGES_BY_PARITY[swap[parity]]
+        return real_classify(lat)
+
+    patches = {
+        "classify_images": swapped,
+        "MARKING_PERMUTATIONS": tuple(t for t in orbi.MARKING_PERMUTATIONS if t != (2, 4, 3)),
+        "enumerate_sublattices": lambda n: real_enumerate(n)[:-1],
+    }
+
+    def read():
+        return [correlator(ins, d) for ins in product(OrbiPoint, repeat=4)]
+
+    original = read()
+    for name, value in patches.items():
+        with monkeypatch.context() as patch:
+            patch.setattr(orbi, name, value)
+            assert read() != original, name
+        assert read() == original, name
 
 
 def test_partition_identity():
