@@ -87,7 +87,7 @@ def _count_calls(monkeypatch, *targets):
 
 
 def test_readme_oracle_counts_match_the_walk(monkeypatch):
-    # "Up to d = 12 the walk reduces 12,876 matrices and makes 127 `hnf_reduce` calls"
+    # "Up to d = 12 the walk reduces 1,673 matrices and makes 127 `hnf_reduce` calls"
     sentence = _readme_sentence("Up to d = ")
     dmax, matrices, calls = re.fullmatch(
         r"Up to d = (\d+) the walk reduces ([\d,]+) matrices and makes (\d+) `hnf_reduce` calls", sentence

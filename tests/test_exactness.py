@@ -2,8 +2,10 @@
 
 An `ast` scan of `lattice`, `orbi`, `qseries`, `potential` and `oracle`
 refuses float and complex literals, calls to `float`, `round` and
-`complex`, every `math` name but the integer-valued functions, and true
-division `/` except at a reviewed file:line in `TRUE_DIVISION_ALLOWED`.
+`complex`, every `math` name but the integer-valued functions, `**` and
+two-argument `pow` with a negative constant exponent (the modular inverse
+`pow(x, -1, m)` stays allowed), and true division `/` except at a reviewed
+file:line in `TRUE_DIVISION_ALLOWED`.
 `cli` is left out, so that it may read a clock.
 """
 
@@ -22,6 +24,14 @@ INEXACT_CALLS = {"float", "round", "complex"}
 INTEGER_MATH = {"ceil", "comb", "factorial", "floor", "gcd", "isqrt", "lcm", "perm", "prod", "trunc"}
 # "file.py:line" -> why that true division is exact.
 TRUE_DIVISION_ALLOWED: dict[str, str] = {}
+
+
+def _negative_int(node: ast.expr) -> bool:
+    try:
+        value = ast.literal_eval(node)
+    except ValueError:
+        return False
+    return type(value) is int and value < 0
 
 
 def _inexact_uses(path: Path):
@@ -46,6 +56,12 @@ def _inexact_uses(path: Path):
         elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
             if where not in TRUE_DIVISION_ALLOWED:
                 yield where, "true division"
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Pow):
+            if _negative_int(node.right if isinstance(node, ast.BinOp) else node.value):
+                yield where, "negative power"
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "pow":
+            if len(node.args) == 2 and _negative_int(node.args[1]):
+                yield where, "negative power"
 
 
 @pytest.mark.parametrize("module", ARITHMETIC_MODULES)
@@ -74,6 +90,8 @@ def test_scan_refuses_each_kind_of_inexact_use(tmp_path):
         "y /= 2\n"
         "z = round(x) + float(1) + complex(1)\n"
         "w = math.pi + math.isqrt(4) + gcd(2, 4) + 1j\n"
+        "u = 2 ** -1 + 2 ** 3\n"
+        "v = pow(2, -1) + pow(3, -1, 7)\n"
     )
     found = [(int(where.rpartition(":")[2]), what) for where, what in _inexact_uses(source)]
     assert sorted(found) == [
@@ -86,4 +104,6 @@ def test_scan_refuses_each_kind_of_inexact_use(tmp_path):
         (6, "call to round"),
         (7, "literal 1j"),
         (7, "math.pi"),
+        (8, "negative power"),
+        (9, "negative power"),
     ]

@@ -4,6 +4,7 @@ import ast
 import json
 from collections import Counter
 from itertools import product
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -68,7 +69,7 @@ def test_orbit_agreement_compares_sets_not_counts(monkeypatch):
 def test_orbit_scan_meets_matrices_as_the_four_entry_scan_does():
     # Solving for delta must keep the first matrix met in each orbit, and the
     # orbits in the order first met: hnf_reduce is checked on that matrix.
-    for d in range(1, 7):
+    for d in range(1, 9):
         first = {}
         for alpha, beta, gamma, delta in product(range(-d, d + 1), repeat=4):
             if alpha * delta - beta * gamma == d:
@@ -77,10 +78,11 @@ def test_orbit_scan_meets_matrices_as_the_four_entry_scan_does():
         assert list(oracle._orbit_representatives(d).items()) == list(first.items())
 
 
-def test_orbit_walk_reduces_each_solution_once_in_order(monkeypatch):
-    # The walk skips the (alpha, beta, gamma) that solve nothing, so it must
-    # reduce exactly the determinant-d matrices of [-d, d]^4, each once, in
-    # the order a scan of every (alpha, beta, gamma) solving for delta meets them.
+def test_orbit_walk_reduces_only_matrices_that_can_open_an_orbit(monkeypatch):
+    # The walk skips alpha >= 0 and, per first column (alpha, beta), every
+    # solution after the first gcd(alpha, beta) in the box.  Its dict must
+    # still be that of a scan reducing every (alpha, beta, gamma) that solves
+    # for delta, in its items and their order.
     real = oracle._reduce_columns
     reduced = []
 
@@ -91,26 +93,25 @@ def test_orbit_walk_reduces_each_solution_once_in_order(monkeypatch):
     monkeypatch.setattr(oracle, "_reduce_columns", counted)
     total = 0
     for d in range(1, 13):
-        reduced.clear()
-        oracle._orbit_representatives(d)
-        total += len(reduced)
-        if d > 10:
-            continue
         span = range(-d, d + 1)
-        scan = []
+        solutions = []
         for alpha, beta, gamma in product(span, repeat=3):
             if alpha:
                 delta, rest = divmod(d + beta * gamma, alpha)
                 if not rest and -d <= delta <= d:
-                    scan.append((alpha, beta, gamma, delta))
+                    solutions.append((alpha, beta, gamma, delta))
             elif beta * gamma == -d:
-                scan.extend((alpha, beta, gamma, delta) for delta in span)
-        assert reduced == scan
-        # alpha = 0, beta = 0 and negative entries all occur; a pair whose gcd
-        # does not divide d (say alpha = beta = 2 at odd d) must add nothing.
-        assert any(m[0] == 0 for m in scan) and any(m[1] == 0 for m in scan)
-        assert any(min(m) < 0 for m in scan)
-    assert total == 12_876
+                solutions.extend((alpha, beta, gamma, delta) for delta in span)
+        scan = {}
+        for matrix in solutions:
+            scan.setdefault(real(*matrix), matrix)
+        reduced.clear()
+        assert list(oracle._orbit_representatives(d).items()) == list(scan.items())
+        assert all(alpha < 0 for alpha, *_ in reduced)
+        per_column = Counter((alpha, beta) for alpha, beta, *_ in reduced)
+        assert all(count <= gcd(*column) for column, count in per_column.items())
+        total += len(reduced)
+    assert total == 1_673
 
 
 # ---------------------------------------------------------------------------
