@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import ast
+import gc
 import inspect
 import io
 import json
@@ -504,3 +506,92 @@ def test_closed_stdout_exits_141_without_traceback():
         err = proc.stderr.read()
         assert proc.wait(timeout=60) == 141
     assert err == b""
+
+
+# ---------------------------------------------------------------------------
+# the process exit path
+# ---------------------------------------------------------------------------
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# One argv per subcommand, then a usage error, with the codes `main` returns.
+ONE_RUN_PER_SUBCOMMAND = [
+    (["sublattices", "--degree", "4"], 0),
+    (["series", "--which", "f2", "--max-degree", "20"], 0),
+    (["correlators", "--insertions", "1,2,3,4", "--max-degree", "6"], 0),
+    (["potential", "--max-degree", "8", "--compare-st"], 0),
+    (["verify", "--max-degree", "4"], 0),
+    (["verify", "--max-degree", "0"], 2),
+]
+
+# Runs pillowcase.cli as __main__, as `python -m` does, and records the
+# collector's freeze count from an atexit hook into the file named by argv[1].
+AS_MAIN = """
+import atexit, gc, runpy, sys
+
+def report(path=sys.argv[1]):
+    with open(path, "w") as f:
+        f.write(str(gc.get_freeze_count()))
+
+atexit.register(report)
+del sys.argv[1]
+runpy.run_module("pillowcase.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+def test_main_leaves_the_collector_alone(capsys):
+    # A freeze inside main would move every object that pytest or the tracer
+    # makes afterwards out of the collector's reach for the rest of the process.
+    frozen, enabled = gc.get_freeze_count(), gc.isenabled()
+    try:
+        codes = [cli.main(argv) for argv, _ in ONE_RUN_PER_SUBCOMMAND]
+        after = gc.get_freeze_count(), gc.isenabled()
+    finally:
+        # Undo a failing run's freeze or switch, so that it leaks into no later test.
+        if gc.get_freeze_count() != frozen:
+            gc.unfreeze()
+        if gc.isenabled() != enabled:
+            (gc.enable if enabled else gc.disable)()
+    capsys.readouterr()
+    assert codes == [code for _, code in ONE_RUN_PER_SUBCOMMAND]
+    assert after == (frozen, enabled)
+
+
+def _run_as_main(tmp_path, argv):
+    report = tmp_path / "freeze_count"
+    proc = subprocess.run(
+        [sys.executable, "-c", AS_MAIN, str(report), *argv], capture_output=True, timeout=60
+    )
+    return proc, int(report.read_text())
+
+
+def test_process_exit_freezes_the_collector_after_identical_output(capsys, tmp_path):
+    argv = ["series", "--which", "f2", "--max-degree", "3000", "--format", "json"]
+    proc, frozen = _run_as_main(tmp_path, argv)
+    assert cli.main(argv) == 0
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout == capsys.readouterr().out.encode()
+    assert frozen > 0
+
+
+def test_process_exit_on_a_usage_error_is_one_line_and_code_2(tmp_path):
+    proc, frozen = _run_as_main(tmp_path, ["verify", "--max-degree", "0"])
+    assert (proc.returncode, proc.stdout) == (2, b"")
+    assert proc.stderr == b"error: --max-degree must be >= 1, got 0\n"
+    assert frozen > 0
+
+
+def _main_block_call(tree) -> str:
+    # The name of the function that cli.py's `if __name__ == "__main__":` block calls.
+    for node in tree.body:
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'":
+            [stmt] = node.body
+            return stmt.value.func.id
+    raise AssertionError("cli.py has no __main__ block")
+
+
+def test_console_script_names_the_entry_function_of_the_main_block():
+    tomllib = pytest.importorskip("tomllib")
+    scripts = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["scripts"]
+    entry = _main_block_call(ast.parse(Path(cli.__file__).read_text()))
+    assert scripts == {"pillowcase": f"pillowcase.cli:{entry}"}

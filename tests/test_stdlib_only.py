@@ -1,7 +1,8 @@
 """The package has no runtime dependencies and no hidden inputs.
 
 Every import is stdlib or relative, and no module reads the process
-environment, so output depends on the arguments alone.
+environment, so output depends on the arguments alone.  Only the CLI's
+process entry point touches the garbage collector.
 """
 
 from __future__ import annotations
@@ -52,3 +53,14 @@ def _environment_reads(path: Path):
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_module_reads_no_environment_variable(path):
     assert list(_environment_reads(path)) == []
+
+
+def test_only_the_cli_imports_gc():
+    # The library modules never change the collector's state; `cli.run`
+    # freezes it once a process's output is flushed.
+    importers = {
+        path.name
+        for path in PACKAGE.glob("*.py")
+        if any(name.split(".")[0] == "gc" for name in _absolute_imports(path))
+    }
+    assert importers == {"cli.py"}
