@@ -21,11 +21,20 @@ The series of interest are built from the divisor sum sigma_1:
     f0(q)     = (f(q) - f(-q)) / 2          (odd part)
     f1(q)     = f(q^4)
     f2(q)     = f(q) - f0(q) - f1(q)
+
+All four read one table of sigma_1: :func:`divisor_series` keeps the last
+table it built, keyed by (trunc, the `sigma1` this module binds at the call),
+so f2 and the closed-form potential run the trial division once per
+truncation instead of once per named series.  The memo holds one entry, the
+N + 1 ints of the last truncation N (about 3.6 MB at N = 10^5), alive until
+the next table replaces it; a patched or traced `sigma1` is a new key and
+never reads an old table.  Series objects themselves carry no cache.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 from operator import add as _int_add, sub as _int_sub
 
@@ -180,9 +189,20 @@ def negate_variable(a: QSeries) -> QSeries:
 
 
 def divisor_series(trunc: int) -> QSeries:
-    """sum_{d>=1} sigma_1(d) q^d, zero constant term."""
-    _need_int("trunc", trunc, 0)
-    return _series([0] + [sigma1(d) for d in range(1, trunc + 1)])
+    """sum_{d>=1} sigma_1(d) q^d, zero constant term.
+
+    The table is memoised, one entry keyed by (trunc, the module's `sigma1`
+    at the call): a repeat at the same truncation returns the same series
+    without calling `sigma1`, and the last table stays alive (N + 1 ints).
+    """
+    return _divisor_table(_need_int("trunc", trunc, 0), sigma1)
+
+
+@lru_cache(maxsize=1)
+def _divisor_table(trunc: int, sigma) -> QSeries:
+    # Keyed by the function as well, so a patched sigma1 never reads an old
+    # table; trunc is a checked int here, so True never hits the entry for 1.
+    return _series([0] + [sigma(d) for d in range(1, trunc + 1)])
 
 
 def divisor_series_odd(trunc: int) -> QSeries:

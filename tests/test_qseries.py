@@ -7,8 +7,9 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from pillowcase import cli
+from pillowcase import cli, lattice, qseries
 from pillowcase.orbi import correlator_series, total_count_series
+from pillowcase.potential import Monomial, Potential, st_reference_potential
 from pillowcase.qseries import (
     QSeries,
     add,
@@ -89,6 +90,83 @@ def test_divisor_series_against_geometric_expansion():
         for k in range(n, n_max + 1, n):
             acc[k] += n
     assert divisor_series(n_max) == QSeries(tuple(acc))
+
+
+# ---------------------------------------------------------------------------
+# the divisor table's memo
+# ---------------------------------------------------------------------------
+
+
+def _sieve_sigma1(n: int) -> list[int]:
+    # sigma_1(0..n) by adding each k to its multiples; index 0 reads 0.
+    sig = [0] * (n + 1)
+    for k in range(1, n + 1):
+        for m in range(k, n + 1, k):
+            sig[m] += k
+    return sig
+
+
+def _counted_sigma1(monkeypatch) -> list[int]:
+    # Bind a fresh counting sigma1 in qseries (a new memo key) and return its log.
+    calls = []
+
+    def counted(d):
+        calls.append(d)
+        return lattice.sigma1(d)
+
+    monkeypatch.setattr(qseries, "sigma1", counted)
+    return calls
+
+
+def test_f2_and_the_closed_form_run_sigma1_once_per_degree(monkeypatch):
+    n = 200
+    sig = _sieve_sigma1(n)
+    calls = _counted_sigma1(monkeypatch)
+    f2 = f2_series(n)
+    assert sorted(calls) == list(range(1, n + 1))
+    # f2 keeps the even degrees not divisible by 4, and sigma(4k) - sigma(k) at 4k.
+    assert f2 == QSeries(
+        [0 if d % 2 else sig[d] - (0 if d % 4 else sig[d // 4]) for d in range(n + 1)]
+    )
+
+    calls = _counted_sigma1(monkeypatch)
+    p = st_reference_potential(n)
+    assert sorted(calls) == list(range(1, n + 1))
+    f0 = [sig[d] if d % 2 else 0 for d in range(n + 1)]
+    f1 = [F(-1, 24)] + [0 if d % 4 else sig[d // 4] for d in range(1, n + 1)]
+
+    def mono(*indices):
+        return Monomial(tuple(indices.count(i) for i in range(5)))
+
+    terms = {mono(1, 2, 3, 4): QSeries(f0)}
+    for j in range(1, 5):
+        terms[mono(0, j, j)] = constant_series(F(1, 4), n)
+        terms[mono(j, j, j, j)] = QSeries([F(c) / 4 for c in f1])
+        for i in range(1, j):
+            terms[mono(i, i, j, j)] = scale(f2, F(1, 6))
+    assert p == Potential(F(1, 2), terms, n)
+
+
+def test_divisor_table_follows_a_patched_sigma1_and_its_undoing(monkeypatch):
+    n = 30
+    table = divisor_series(n)
+    assert divisor_series(n) is table  # the truncation is in the memo
+    monkeypatch.setattr(qseries, "sigma1", lambda d: lattice.sigma1(d) + (d == 7))
+    patched = divisor_series(n)
+    assert [coefficient(patched, d) - coefficient(table, d) for d in range(n + 1)] == [
+        d == 7 for d in range(n + 1)
+    ]
+    monkeypatch.undo()
+    assert divisor_series(n) == table
+
+
+def test_the_memo_keeps_the_integer_rule():
+    # A memo consulted before the check would serve the entry for 1 to True,
+    # which hashes and compares equal to it.
+    divisor_series(1)
+    for bad in (True, 1.0):
+        with pytest.raises(ValueError, match="need an integer trunc"):
+            divisor_series(bad)
 
 
 # ---------------------------------------------------------------------------
