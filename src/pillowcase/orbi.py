@@ -143,14 +143,6 @@ def correlator(ins, d: int) -> int:
     >>> correlator((1, 2, 3, 4), 3)
     4
     """
-    # One inline test admits four OrbiPoints and an int degree >= 1, which read
-    # a current census with one lookup; any other call takes the full checks.
-    if type(d) is int and d >= 1 and type(ins) is tuple and len(ins) == 4:
-        if type(ins[0]) is type(ins[1]) is type(ins[2]) is type(ins[3]) is OrbiPoint:
-            built = _CENSUS.get(d)
-            if (built and built[0] is enumerate_sublattices and built[1] is classify_images
-                    and built[2] is MARKING_PERMUTATIONS):
-                return built[3].get(_X1_FIRST[ins], 0)
     return _cover_census(_need_int("d", d, 1)).get(_X1_FIRST[_as_points(ins)], 0)
 
 

@@ -7,17 +7,18 @@ before it.  Only ratios are gated, never counts, which change with the
 CPython version.  Both entry points build sigma_1 by trial division once
 per truncation (the divisor table is memoised, and each count starts from a
 cold one), about N^1.5 work beside a linear part: on CPython 3.11 the ratio
-reads 2.31 (`f2_series`) and 2.20 (`st_reference_potential`) from N = 1000
-to 2000 and 2.35 and 2.27 from 2000 to 4000, where quadratic growth would
+reads 2.350 (`f2_series`) and 2.268 (`st_reference_potential`) from N = 2000
+to 4000 and 2.392 and 2.322 from 4000 to 8000, where quadratic growth would
 read about 4.  A quadratic term's share of the count grows with N, so the
 second pair trips on a smaller one than the first.
 
 The same share makes the ratio itself rise from one pair to the next, which
 shows a quadratic term long before either ratio nears 4.  So the rise from
-the first ratio to the second is gated too: the clean code rises by 0.042
-and 0.067 (the linear part's falling share lifts the second), while a loop
-of (N/20)^2/2 steps planted in `f2_series` rises by 0.11-0.13, one of
-(N/30)^2/2 steps by 0.08-0.10, and (N/10)^2/2 by 0.21-0.24.
+the first ratio to the second is gated too: the clean code rises by 0.041
+and 0.055 (the linear part's falling share lifts the second), while a loop
+planted in `f2_series` rises by 0.139 and 0.149 at (N/20)^2/2 steps, 0.090
+and 0.101 at (N/30)^2/2 and 0.072 and 0.083 at (N/40)^2/2.  Each size counts
+in under a quarter of a second.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import pytest
 
 from pillowcase import lattice, potential, qseries
 
-SIZES = (1000, 2000, 4000)
+SIZES = (2000, 4000, 8000)
 MAX_RATIO = 3.0
 MAX_RISE = 0.07
 

@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 from pillowcase.lattice import HnfLattice, divisors, enumerate_sublattices, sigma1
-from pillowcase.orbi import correlator, correlator_series, total_count_series
+from pillowcase.orbi import OrbiPoint, correlator, correlator_series, total_count_series
 from pillowcase.potential import Monomial, Potential, assemble_potential, st_reference_potential
 from pillowcase.qseries import (
     coefficient,
@@ -21,6 +21,22 @@ from pillowcase.qseries import (
     f_series,
     substitute_power,
 )
+
+ORBI_POINTS = (OrbiPoint.X1, OrbiPoint.X2, OrbiPoint.X3, OrbiPoint.X4)
+
+
+def _census_built(call):
+    # The production spelling: four OrbiPoints, as `assemble_potential` and
+    # the oracle pass them.  The censuses of degrees 1 and 2 (what True and
+    # 2.0 equal as dict keys) are built first, so a read that looked a degree
+    # up before checking its type would return a count here, not raise.
+    def warm_call(v):
+        for d in (1, 2):
+            correlator(ORBI_POINTS, d)
+        return call(v)
+
+    return warm_call
+
 
 # argument -> (call with the value in that place, smallest value accepted)
 ARGUMENTS = {
@@ -37,6 +53,8 @@ ARGUMENTS = {
     "coefficient": (lambda v: coefficient(f_series(3), v), 0),
     "correlator": (lambda v: correlator((1, 2, 3, 4), v), 1),
     "correlator_series": (lambda v: correlator_series((1, 2, 3, 4), v), 1),
+    "correlator/OrbiPoint": (_census_built(lambda v: correlator(ORBI_POINTS, v)), 1),
+    "correlator_series/OrbiPoint": (_census_built(lambda v: correlator_series(ORBI_POINTS, v)), 1),
     "total_count_series": (total_count_series, 1),
     "assemble_potential": (assemble_potential, 1),
     "st_reference_potential": (st_reference_potential, 1),

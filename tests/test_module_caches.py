@@ -2,11 +2,16 @@
 
 A `functools.cache` or `lru_cache` applied outside a function body lives as
 long as the process: every caller shares it, one test can feed the next, and
-it keeps what it holds alive.  An `ast` scan of every module under
-`src/pillowcase` refuses such a use unless its site, "module:function" for
-the decorated function, is in `MODULE_CACHES_ALLOWED` with the reason it is
-safe.  A cache built inside a function body (as `oracle.image_table_check`
-does for one call) is dropped with the call and is not a module-level site.
+it keeps what it holds alive.  So does a hand-rolled memo, a module-level
+dict that a function fills in.  An `ast` scan of every module under
+`src/pillowcase` refuses either unless its site is in `MODULE_CACHES_ALLOWED`
+with the reason it is safe: "module:function" for a decorated function, and
+"module:NAME" for a name bound at module level to a dict display or `dict()`
+that a function of the same module assigns into by subscript (a chained
+target such as `built = _MEMO[d] = ...` included).  A cache built inside a
+function body (as `oracle.image_table_check` does for one call) is dropped
+with the call and is not a module-level site; nor is a module dict that
+functions only read.
 """
 
 from __future__ import annotations
@@ -22,11 +27,16 @@ CACHE_NAMES = {"cache", "lru_cache"}
 MODULE_CACHES_ALLOWED = {
     "qseries:_divisor_table": "one entry keyed by (trunc, sigma1): a patched "
     "sigma1 is a new key, and it keeps only the last divisor table",
+    "orbi:_CENSUS": "one census per degree, stored beside the enumerator, "
+    "classifier and marking permutations that built it: patching or wrapping "
+    "any of the three rebuilds the degree, never reading an old census",
 }
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 def _module_cache_sites(path: Path):
-    """Yield (site, line) for each functools cache use outside a function body."""
+    """Yield (site, line) for each functools cache use outside a function body
+    and each subscript write, inside a function, into a module-level dict."""
     module = path.stem
     tree = ast.parse(path.read_text(), filename=str(path))
     functools_names, cache_names = set(), set()
@@ -48,7 +58,7 @@ def _module_cache_sites(path: Path):
 
     def visit(node: ast.AST, scope: str):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if isinstance(child, FUNCTIONS):
                 # Decorators run where the def stands; the body runs per call.
                 for decorator in child.decorator_list:
                     for sub in ast.walk(decorator):
@@ -61,6 +71,29 @@ def _module_cache_sites(path: Path):
             yield from visit(child, inner)
 
     yield from visit(tree, "")
+
+    module_dicts = set()
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and (
+            isinstance(node.value, ast.Dict)
+            or isinstance(node.value, ast.Call)
+            and isinstance(node.value.func, ast.Name)
+            and node.value.func.id == "dict"
+        ):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            module_dicts |= {t.id for t in targets if isinstance(t, ast.Name)}
+    inside_functions = {
+        node for fn in ast.walk(tree) if isinstance(fn, FUNCTIONS) for node in ast.walk(fn)
+    }
+    for node in ast.walk(tree):
+        if (
+            node in inside_functions
+            and isinstance(node, ast.Subscript)
+            and isinstance(node.ctx, ast.Store)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in module_dicts
+        ):
+            yield f"{module}:{node.value.id}", node.lineno
 
 
 MODULES = sorted(path.stem for path in PACKAGE.glob("*.py"))
@@ -89,6 +122,10 @@ def test_each_allowed_cache_site_is_still_one():
         ("from functools import cache\nclass K:\n    g = cache(len)\n", ["m:K"]),
         ("from functools import cache\ndef f():\n    g = cache(len)\n    @cache\n    def h(): pass\n", []),
         ("from functools import wraps\n@wraps(len)\ndef f(): pass\n", []),
+        ("_M = {}\ndef f(d):\n    _M[d] = d\n", ["m:_M"]),
+        ("_M: dict = dict()\ndef f(d):\n    b = _M[d] = d\n    return b\n", ["m:_M"]),
+        ("_M = {1: 2}\ndef f(d):\n    return _M[d]\n", []),
+        ("def f(d):\n    m = {}\n    m[d] = d\n    return m\n", []),
     ],
 )
 def test_the_scan_finds_module_level_caches(tmp_path, source, expected):
